@@ -115,7 +115,7 @@ func (e *Evaluator) batchedOver(tasks []int, active []bool, workers int, parent 
 		w := &batchWorker{
 			worker: worker{
 				e:     e,
-				buf:   make([]complex128, harmonics.Len(e.maxP+1)),
+				buf:   make([]complex128, harmonics.Len(e.MaxSelectedDegree()+1)),
 				shard: e.Cfg.Obs.NewShard(),
 			},
 			smac:   smac,

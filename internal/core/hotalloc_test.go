@@ -165,7 +165,7 @@ func TestBatchedLeafKernelZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := &batchWorker{
-		worker: worker{e: e, buf: make([]complex128, harmonics.Len(e.maxP+1))},
+		worker: worker{e: e, buf: make([]complex128, harmonics.Len(e.MaxSelectedDegree()+1))},
 		smac:   e.Cfg.MAC.(mac.SphereMAC),
 	}
 	e.ensurePlans()

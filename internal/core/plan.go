@@ -35,7 +35,7 @@ package core
 //
 // Invalidation lattice, coarsest to finest:
 //
-//	construct (New, full-rebuild fallback)  -> whole store dropped
+//	tree build (New, full-rebuild fallback) -> whole store dropped
 //	Update with migrants (splits/merges)    -> plans realigned by leaf
 //	                                           identity; restructured nodes
 //	                                           invalidate by Shape stamp
@@ -148,7 +148,7 @@ func (pl *leafPlan) revalidate(seq int64) (checked, invalidated int64) {
 // ensurePlans allocates the plan store for the current leaf list (plans
 // build lazily, per leaf, on first evaluation). Called serially before the
 // batched fan-out; Update keeps an existing store aligned via
-// realignPlans, and construct drops it entirely.
+// realignPlans, and resetPlans drops it after every tree build.
 func (e *Evaluator) ensurePlans() {
 	if e.plans != nil {
 		return
@@ -168,18 +168,18 @@ func (e *Evaluator) realignPlans() {
 		return
 	}
 	old := e.plans
-	byLeaf := make(map[*tree.Node]int, len(old))
+	byLeaf := make(map[*tree.Node]*leafPlan, len(old))
 	for i := range old {
 		if len(old[i].entries) > 0 {
-			byLeaf[old[i].leaf] = i
+			byLeaf[old[i].leaf] = &old[i]
 		}
 	}
 	plans := make([]leafPlan, len(e.leaves))
 	for i, leaf := range e.leaves {
 		plans[i].leaf = leaf
-		if j, ok := byLeaf[leaf]; ok {
-			plans[i].entries = old[j].entries
-			plans[i].invalid = old[j].invalid
+		if o, ok := byLeaf[leaf]; ok {
+			plans[i].entries = o.entries
+			plans[i].invalid = o.invalid
 		}
 	}
 	e.plans = plans

@@ -11,6 +11,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -59,7 +60,9 @@ func ReadOFF(r io.Reader) (*mesh.Mesh, error) {
 		return nil, fmt.Errorf("meshio: bad counts %v", tok)
 	}
 
-	m := &mesh.Mesh{Verts: make([]vec.V3, 0, nv)}
+	// The counts are untrusted: grow the slices as lines actually arrive
+	// instead of preallocating from them.
+	m := &mesh.Mesh{}
 	for i := 0; i < nv; i++ {
 		tok, err := next()
 		if err != nil {
@@ -78,6 +81,9 @@ func ReadOFF(r io.Reader) (*mesh.Mesh, error) {
 		if v.Z, err = strconv.ParseFloat(tok[2], 64); err != nil {
 			return nil, fmt.Errorf("meshio: vertex %d: %w", i, err)
 		}
+		if !finite(v.X) || !finite(v.Y) || !finite(v.Z) {
+			return nil, fmt.Errorf("meshio: vertex %d has a non-finite coordinate", i)
+		}
 		m.Verts = append(m.Verts, v)
 	}
 	for i := 0; i < nf; i++ {
@@ -86,7 +92,7 @@ func ReadOFF(r io.Reader) (*mesh.Mesh, error) {
 			return nil, fmt.Errorf("meshio: face %d: %w", i, err)
 		}
 		k, err := strconv.Atoi(tok[0])
-		if err != nil || k < 3 || len(tok) < 1+k {
+		if err != nil || k < 3 || k > len(tok)-1 {
 			return nil, fmt.Errorf("meshio: face %d malformed", i)
 		}
 		idx := make([]int, k)
@@ -106,6 +112,8 @@ func ReadOFF(r io.Reader) (*mesh.Mesh, error) {
 	}
 	return m, nil
 }
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // WriteOFF writes the mesh in OFF format.
 func WriteOFF(w io.Writer, m *mesh.Mesh) error {

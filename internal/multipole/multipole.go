@@ -367,11 +367,6 @@ func powInt(x float64, n int) float64 {
 	return y
 }
 
-// BoundAtFast is BoundAt using TruncationBoundFast.
-func (e *Expansion) BoundAtFast(x vec.V3, p int) float64 {
-	return TruncationBoundFast(e.AbsCharge, e.Radius, x.Dist(e.Center), p)
-}
-
 // Bound returns TruncationBound for this expansion at distance r.
 func (e *Expansion) Bound(r float64) float64 {
 	return TruncationBound(e.AbsCharge, e.Radius, r, e.Degree)

@@ -56,6 +56,8 @@ func (s *Simulator) Save(w io.Writer) error {
 // configuration for subsequent steps. Version-1 checkpoints (pre
 // block-timestep) load with empty rung state; a block-mode continuation
 // then re-seeds its rungs on the first step, exactly like a fresh run.
+// Saved rungs deeper than the continuation's Block.MaxRungs allows are
+// clamped to its finest rung; a negative rung is an error.
 func Load(r io.Reader, force Config) (*Simulator, error) {
 	var c checkpoint
 	if err := gob.NewDecoder(r).Decode(&c); err != nil {
@@ -73,6 +75,16 @@ func Load(r io.Reader, force Config) (*Simulator, error) {
 	}
 	sim.Steps = c.Steps
 	if len(c.Rungs) == len(c.Particles) && len(c.BlockAcc) == len(c.Particles) {
+		// A continuation may use fewer rungs than the saved run: clamp
+		// deeper rungs to the finest one available, which only shortens
+		// those particles' steps.
+		top := max(cfg.Block.MaxRungs-1, 0)
+		for i, r := range c.Rungs {
+			if r < 0 {
+				return nil, fmt.Errorf("sim: checkpoint rung %d of particle %d is negative", r, i)
+			}
+			c.Rungs[i] = min(r, top)
+		}
 		sim.rung = c.Rungs
 		sim.blockAcc = c.BlockAcc
 	}

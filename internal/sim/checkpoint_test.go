@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"encoding/gob"
 	"strings"
 	"testing"
 
@@ -78,5 +79,73 @@ func TestLoadErrors(t *testing.T) {
 	trunc := buf.Bytes()[:buf.Len()/2]
 	if _, err := Load(bytes.NewReader(trunc), Config{}); err == nil {
 		t.Error("truncated checkpoint should fail")
+	}
+}
+
+// TestLoadFewerRungs: a block checkpoint saved with MaxRungs 6 continues
+// under MaxRungs 2 with the saved rungs clamped to the finest available
+// one, instead of indexing past the smaller rung table on the first step.
+func TestLoadFewerRungs(t *testing.T) {
+	set, err := points.Generate(points.Plummer, 300, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{
+		Dt:     0.04,
+		Force:  core.Config{Method: core.Adaptive, Degree: 3},
+		Soften: 0.01,
+		Block:  BlockConfig{MaxRungs: 6, Eta: 0.05},
+	}
+	s, err := New(State{Set: set, Vel: make([]vec.V3, set.N())}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Run(1); err != nil {
+		t.Fatal(err)
+	}
+	deep := 0
+	for _, r := range s.Rungs() {
+		deep = max(deep, r)
+	}
+	if deep < 2 {
+		t.Fatalf("deepest saved rung %d; the reproduction needs one past MaxRungs-1 = 1", deep)
+	}
+	var buf bytes.Buffer
+	if err := s.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Block.MaxRungs = 2
+	restored, err := Load(&buf, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range restored.Rungs() {
+		if r < 0 || r > 1 {
+			t.Fatalf("restored rung %d of particle %d outside [0,1]", r, i)
+		}
+	}
+	if err := restored.Step(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLoadNegativeRung: a checkpoint carrying a negative rung is corrupt
+// and fails to load.
+func TestLoadNegativeRung(t *testing.T) {
+	set, err := points.Generate(points.Uniform, 20, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rungs := make([]int, set.N())
+	rungs[3] = -1
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(checkpoint{
+		Version: checkpointVersion, Dt: 0.1, Particles: set.Particles,
+		Vel: make([]vec.V3, set.N()), Rungs: rungs, BlockAcc: make([]vec.V3, set.N()),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(&buf, Config{Block: BlockConfig{MaxRungs: 3}}); err == nil {
+		t.Fatal("negative rung loaded")
 	}
 }
