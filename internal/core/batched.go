@@ -47,9 +47,7 @@ import (
 	"runtime"
 	"sync"
 
-	"treecode/internal/harmonics"
 	"treecode/internal/mac"
-	"treecode/internal/multipole"
 	"treecode/internal/obs"
 	"treecode/internal/sched"
 	"treecode/internal/tree"
@@ -84,27 +82,33 @@ type planFrame struct {
 	patch int32
 }
 
-// batchedLeaves drives one batched evaluation: leaf tasks over the
-// work-stealing scheduler, one batchWorker per goroutine, stats and shards
-// merged exactly as parallelChunks does, plus the pool's steal count folded
-// into the batch metrics. The body receives the leaf's index into
-// e.leaves/e.plans so workers address their plan slots directly; slots are
-// disjoint per task, so plan builds and repairs race nothing.
-func (e *Evaluator) batchedLeaves(workers int, parent *obs.Span, stats *Stats, body func(w *batchWorker, li int)) {
-	e.batchedOver(nil, nil, workers, parent, stats, body)
-}
-
-// batchedOver is batchedLeaves restricted to an explicit task list of leaf
-// indices (nil means every leaf) with an optional per-particle target mask
-// the workers consult in their particle loops — the batched engine of
-// FieldsFor. Leaves absent from the task list are never touched, so their
-// cached plans stay exactly as the last pass left them.
-func (e *Evaluator) batchedOver(tasks []int, active []bool, workers int, parent *obs.Span, stats *Stats, body func(w *batchWorker, li int)) {
+// batched drives one batched evaluation into phi (and field, for a field
+// evaluation): leaf tasks over the work-stealing scheduler, one batchWorker
+// per goroutine, stats and shards merged exactly as parallelChunks does,
+// plus the pool's steal count folded into the batch metrics. With an
+// active mask (original indices; nil means every particle) only leaves
+// holding an active particle become tasks, and the workers skip inactive
+// particles: leaves absent from the task list are never touched, so their
+// cached plans stay exactly as the last pass left them. Each task writes
+// only its own plan slot, so plan builds and repairs race nothing.
+func (e *Evaluator) batched(active []bool, workers int, parent *obs.Span, stats *Stats, phi []float64, field []vec.V3) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	e.ensurePlans()
 	smac := e.Cfg.MAC.(mac.SphereMAC) // Validate guarantees the assertion
+	var tasks []int
+	if active != nil {
+		tasks = make([]int, 0, len(e.leaves))
+		for li, leaf := range e.leaves {
+			for i := leaf.Start; i < leaf.End; i++ {
+				if active[e.Tree.Perm[i]] {
+					tasks = append(tasks, li)
+					break
+				}
+			}
+		}
+	}
 	count := len(e.leaves)
 	if tasks != nil {
 		count = len(tasks)
@@ -112,26 +116,15 @@ func (e *Evaluator) batchedOver(tasks []int, active []bool, workers int, parent 
 	var mu sync.Mutex
 	st := sched.Run(count, workers, func(id int, next func() (int, bool)) {
 		sp := parent.ChildWorker("worker", id)
-		w := &batchWorker{
-			worker: worker{
-				e:     e,
-				buf:   make([]complex128, harmonics.Len(e.MaxSelectedDegree()+1)),
-				shard: e.Cfg.Obs.NewShard(),
-			},
-			smac:   smac,
-			active: active,
-		}
+		w := &batchWorker{worker: e.newWorker(field != nil), smac: smac, active: active}
 		for t, ok := next(); ok; t, ok = next() {
 			li := t
 			if tasks != nil {
 				li = tasks[t]
 			}
-			body(w, li)
+			w.leafPass(li, phi, field)
 		}
-		mu.Lock()
-		stats.add(&w.stats)
-		mu.Unlock()
-		w.shard.Merge()
+		w.done(stats, &mu)
 		sp.End()
 	})
 	e.Cfg.Obs.AddSteals(st.Steals)
@@ -183,16 +176,17 @@ func (w *batchWorker) collect(dst []planEntry, root *tree.Node, c vec.V3, rho fl
 	return dst
 }
 
-// leafPotentials evaluates the potentials of every particle in the target
-// leaf at index li, acquiring (hitting, repairing or building) the leaf's
-// cached plan first. Far-field clusters run in a cluster-outer loop so each
-// expansion's coefficients stay hot across the leaf's particles; near-field
-// leaves batch P2P over contiguous tree-order slices. The kind-filtered
-// passes visit entries in plan (DFS) order, so the summation order is the
-// fresh traversal's exactly.
+// leafPass evaluates every particle of the target leaf at index li,
+// acquiring (hitting, repairing or building) the leaf's cached plan first,
+// and adds the potentials into phi and, for a field worker, the fields into
+// field. The kind-filtered passes — M2P, then the refinement band, then
+// P2P — visit entries in plan (DFS) order, so the summation order is the
+// fresh traversal's exactly. Far-field clusters run in a cluster-outer loop
+// so each expansion's coefficients stay hot across the leaf's particles;
+// near-field leaves batch P2P over contiguous tree-order slices.
 //
 //treecode:hot
-func (w *batchWorker) leafPotentials(li int, out []float64) {
+func (w *batchWorker) leafPass(li int, phi []float64, field []vec.V3) {
 	pl := &w.e.plans[li]
 	leaf := pl.leaf
 	entries := w.acquire(pl)
@@ -200,44 +194,31 @@ func (w *batchWorker) leafPotentials(li int, out []float64) {
 	w.census(entries, w.activeCount(leaf))
 	w.refChecks = 0
 	w.refAccepts = 0
-	for k := range entries {
-		if entries[k].kind != planM2P {
-			continue
-		}
-		n := entries[k].node
-		for i := leaf.Start; i < leaf.End; i++ {
-			if w.active != nil && !w.active[t.Perm[i]] {
+	for _, pass := range [...]planKind{planM2P, planBand, planP2P} {
+		for k := range entries {
+			if entries[k].kind != pass {
 				continue
 			}
-			out[t.Perm[i]] += w.fusedM2P(n, t.Pos[i])
-		}
-	}
-	for k := range entries {
-		if entries[k].kind != planBand {
-			continue
-		}
-		n := entries[k].node
-		for i := leaf.Start; i < leaf.End; i++ {
-			if w.active != nil && !w.active[t.Perm[i]] {
-				continue
-			}
-			out[t.Perm[i]] += w.refine(n, t.Pos[i], i)
-		}
-	}
-	for k := range entries {
-		if entries[k].kind != planP2P {
-			continue
-		}
-		src := entries[k].node
-		for i := leaf.Start; i < leaf.End; i++ {
-			if w.active != nil && !w.active[t.Perm[i]] {
-				continue
-			}
-			phi, pp := w.direct(src, t.Pos[i], i)
-			out[t.Perm[i]] += phi
-			w.stats.PP += pp
-			if w.shard != nil {
-				w.shard.Direct(src.Level, pp)
+			n := entries[k].node
+			for i := leaf.Start; i < leaf.End; i++ {
+				o := t.Perm[i]
+				if w.active != nil && !w.active[o] {
+					continue
+				}
+				var p float64
+				var f vec.V3
+				switch pass {
+				case planM2P:
+					p, f = w.accept(n, t.Pos[i])
+				case planBand:
+					p, f = w.refine(n, t.Pos[i], i)
+				default:
+					p, f = w.direct(n, t.Pos[i], i)
+				}
+				phi[o] += p
+				if w.field {
+					field[o] = field[o].Add(f)
+				}
 			}
 		}
 	}
@@ -284,117 +265,20 @@ func (w *batchWorker) census(entries []planEntry, count int64) {
 	w.shard.BatchLeaf(m2p, m2p*count)
 }
 
-// fusedM2P is acceptM2P with the batched mode's kernels: the fused
-// allocation-free M2P evaluation and the exponentiation-by-squaring
-// truncation bound. Stats and census accounting are identical to the
-// walk's; the numbers agree to roundoff.
-//
-//treecode:hot
-func (w *batchWorker) fusedM2P(n *tree.Node, x vec.V3) float64 {
-	p := n.Degree
-	w.stats.Terms += multipole.Terms(p)
-	w.stats.PC++
-	if p > w.stats.MaxDegree {
-		w.stats.MaxDegree = p
-	}
-	w.stats.BoundSum += multipole.TruncationBoundFast(n.Mp.AbsCharge, n.Mp.Radius, x.Dist(n.Mp.Center), p)
-	if w.shard != nil {
-		w.recordAccept(n, x, p)
-	}
-	return n.Mp.EvaluateFused(x, p)
-}
-
 // refine applies the exact per-particle criterion to a refinement-band
 // cluster — the walk's own accept/reject step, plus the band tallies.
 //
 //treecode:hot
-func (w *batchWorker) refine(n *tree.Node, x vec.V3, self int) float64 {
+func (w *batchWorker) refine(n *tree.Node, x vec.V3, self int) (float64, vec.V3) {
 	w.refChecks++
 	if w.e.Cfg.MAC.Accept(x, n) {
 		w.refAccepts++
-		return w.fusedM2P(n, x)
+		return w.accept(n, x)
 	}
 	if w.shard != nil {
 		w.shard.Reject(n.Level)
 	}
 	return w.walkBelow(n, x, self)
-}
-
-// leafFields is leafPotentials' potential+field counterpart.
-//
-//treecode:hot
-func (w *batchWorker) leafFields(li int, phi []float64, field []vec.V3) {
-	pl := &w.e.plans[li]
-	leaf := pl.leaf
-	entries := w.acquire(pl)
-	t := w.e.Tree
-	w.census(entries, w.activeCount(leaf))
-	w.refChecks = 0
-	w.refAccepts = 0
-	for k := range entries {
-		if entries[k].kind != planM2P {
-			continue
-		}
-		n := entries[k].node
-		for i := leaf.Start; i < leaf.End; i++ {
-			if w.active != nil && !w.active[t.Perm[i]] {
-				continue
-			}
-			p, f := w.acceptM2PField(n, t.Pos[i])
-			phi[t.Perm[i]] += p
-			field[t.Perm[i]] = field[t.Perm[i]].Add(f)
-		}
-	}
-	for k := range entries {
-		if entries[k].kind != planBand {
-			continue
-		}
-		n := entries[k].node
-		for i := leaf.Start; i < leaf.End; i++ {
-			if w.active != nil && !w.active[t.Perm[i]] {
-				continue
-			}
-			p, f := w.refineField(n, t.Pos[i], i)
-			phi[t.Perm[i]] += p
-			field[t.Perm[i]] = field[t.Perm[i]].Add(f)
-		}
-	}
-	for k := range entries {
-		if entries[k].kind != planP2P {
-			continue
-		}
-		src := entries[k].node
-		for i := leaf.Start; i < leaf.End; i++ {
-			if w.active != nil && !w.active[t.Perm[i]] {
-				continue
-			}
-			p, f, pp := w.directField(src, t.Pos[i], i)
-			phi[t.Perm[i]] += p
-			field[t.Perm[i]] = field[t.Perm[i]].Add(f)
-			w.stats.PP += pp
-			if w.shard != nil {
-				w.shard.Direct(src.Level, pp)
-			}
-		}
-	}
-	if w.shard != nil {
-		w.shard.Refine(w.refChecks, w.refAccepts)
-	}
-}
-
-// refineField is refine's potential+field counterpart.
-//
-//treecode:hot
-func (w *batchWorker) refineField(n *tree.Node, x vec.V3, self int) (float64, vec.V3) {
-	w.refChecks++
-	if w.e.Cfg.MAC.Accept(x, n) {
-		w.refAccepts++
-		return w.acceptM2PField(n, x)
-	}
-	if w.shard != nil {
-		w.shard.Reject(n.Level)
-	}
-	return w.walkFieldBelow(n, x, self)
 }
 
 // VisitBatchedInteractions reports the interaction set the batched

@@ -298,3 +298,53 @@ func TestBatchedSetCharges(t *testing.T) {
 		t.Fatalf("recharged batched potentials rel err %v", re)
 	}
 }
+
+// TestSoftenedBatchedMatchesWalk: softening changes only the P2P kernel,
+// so the batched traversal still performs exactly the walk's interactions
+// (identical Terms/PC/PP) and its softened fields agree with the walk's to
+// roundoff. A coincident pair, which the softened kernel counts and keeps
+// finite, is part of the set.
+func TestSoftenedBatchedMatchesWalk(t *testing.T) {
+	set, err := points.Generate(points.Plummer, 2000, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set.Particles[1].Pos = set.Particles[0].Pos
+	cfg := Config{Method: Adaptive, Degree: 4, Soften: 0.01}
+	walk := mustEval(t, set, cfg)
+	cfg.Eval = EvalBatched
+	batched := mustEval(t, set, cfg)
+	pw, fw, sw := walk.Fields()
+	pb, fb, sb := batched.Fields()
+	if sw.Terms != sb.Terms || sw.PC != sb.PC || sw.PP != sb.PP {
+		t.Fatalf("counters differ: walk %d/%d/%d, batched %d/%d/%d", sw.Terms, sw.PC, sw.PP, sb.Terms, sb.PC, sb.PP)
+	}
+	var d2, n2 float64
+	for i := range fw {
+		if !finiteV(fb[i]) || math.IsNaN(pb[i]) || math.IsInf(pb[i], 0) {
+			t.Fatalf("particle %d: non-finite softened result %v, %v", i, pb[i], fb[i])
+		}
+		d2 += fb[i].Sub(fw[i]).Norm2()
+		n2 += fw[i].Norm2()
+	}
+	if r := math.Sqrt(d2 / n2); r > 1e-12 {
+		t.Fatalf("softened fields: batched vs walk relative L2 %g", r)
+	}
+	if r := relErr(pb, pw); r > 1e-12 {
+		t.Fatalf("softened potentials: batched vs walk relative error %g", r)
+	}
+	unsoft := mustEval(t, set, Config{Method: Adaptive, Degree: 4, Eval: EvalBatched})
+	_, _, su := unsoft.Fields()
+	if su.PP >= sb.PP {
+		t.Fatalf("softening should count the coincident pair: PP %d unsoftened, %d softened", su.PP, sb.PP)
+	}
+}
+
+func finiteV(v vec.V3) bool {
+	for _, x := range []float64{v.X, v.Y, v.Z} {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return false
+		}
+	}
+	return true
+}

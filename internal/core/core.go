@@ -134,6 +134,12 @@ type Config struct {
 	// clusters at the minimum degree, trading error for terms. Only used
 	// by the Adaptive method.
 	RefQuantile float64
+	// Soften is the Plummer softening length of direct (P2P) pairs: each
+	// pair sees r^2 = |d|^2 + Soften^2, so a coincident source contributes
+	// a finite potential and no field. Accepted clusters are far enough
+	// away (r >> Soften) that the multipole far field stays unsoftened.
+	// Default 0, the bare 1/r kernel.
+	Soften float64
 	// Obs attaches an observability collector: phase spans around tree
 	// build, degree selection, expansion build and evaluation, plus
 	// per-interaction metrics (MAC accept/reject per level, degree
@@ -166,9 +172,10 @@ func (c *Config) fill() {
 
 // Validate checks the configuration after defaults are applied: the
 // alpha-criterion needs 0 < Alpha < 1, degrees must be non-negative with
-// MaxDegree >= Degree, sizes must be positive, Workers non-negative, and
-// RefQuantile in [0, 1]. New validates automatically; command-line drivers
-// call this early to reject bad flag values before any work is done.
+// MaxDegree >= Degree, sizes must be positive, Workers non-negative,
+// RefQuantile in [0, 1], and Soften finite and non-negative. New
+// validates automatically; command-line drivers call this early to reject
+// bad flag values before any work is done.
 func (c Config) Validate() error {
 	c.fill()
 	switch {
@@ -186,6 +193,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: negative worker count %d", c.Workers)
 	case c.RefQuantile < 0 || c.RefQuantile > 1:
 		return fmt.Errorf("core: reference quantile must be in [0,1], got %v", c.RefQuantile)
+	case !(c.Soften >= 0) || math.IsInf(c.Soften, 1):
+		return fmt.Errorf("core: softening length must be finite and non-negative, got %v", c.Soften)
 	case c.Eval != EvalWalk && c.Eval != EvalBatched:
 		return fmt.Errorf("core: unknown eval mode %d", c.Eval)
 	}
@@ -308,40 +317,23 @@ func (e *Evaluator) Potentials() ([]float64, *Stats) {
 // plans and may run concurrently. The results are bitwise independent of
 // the worker count either way.
 func (e *Evaluator) PotentialsWithWorkers(workers int) ([]float64, *Stats) {
-	t := e.Tree
-	n := len(t.Pos)
-	out := make([]float64, n)
-	stats := e.newStats()
-	sp := e.Cfg.Obs.Start("core/potentials")
-	start := time.Now()
-	if e.Cfg.Eval == EvalBatched {
-		e.batchedLeaves(workers, sp, stats, func(w *batchWorker, li int) {
-			w.leafPotentials(li, out)
-		})
-	} else {
-		e.parallelChunks(n, workers, func(lo, hi int, w *worker) {
-			for i := lo; i < hi; i++ {
-				out[t.Perm[i]] = w.potential(t.Pos[i], i)
-			}
-		}, stats, sp)
-	}
-	stats.EvalTime = time.Since(start)
-	sp.End()
-	return out, stats
+	phi, _, stats := e.evaluate("core/potentials", nil, workers, false)
+	return phi, stats
 }
 
 // PotentialsAt evaluates the potential at arbitrary target points (no
-// self-exclusion).
+// self-exclusion). It always walks: arbitrary targets carry no leaf
+// grouping.
 func (e *Evaluator) PotentialsAt(targets []vec.V3) ([]float64, *Stats) {
 	out := make([]float64, len(targets))
 	stats := e.newStats()
 	sp := e.Cfg.Obs.Start("core/potentials-at")
 	start := time.Now()
-	e.parallelChunks(len(targets), e.Cfg.Workers, func(lo, hi int, w *worker) {
+	e.parallelChunks(len(targets), e.Cfg.Workers, false, sp, stats, func(lo, hi int, w *worker) {
 		for i := lo; i < hi; i++ {
-			out[i] = w.potential(targets[i], -1)
+			out[i], _ = w.walk(w.e.Tree.Root, targets[i], -1)
 		}
-	}, stats, sp)
+	})
 	stats.EvalTime = time.Since(start)
 	sp.End()
 	return out, stats
@@ -350,29 +342,7 @@ func (e *Evaluator) PotentialsAt(targets []vec.V3) ([]float64, *Stats) {
 // Fields returns the potential and field E = -grad(phi) at every particle
 // (self-excluded), in original order.
 func (e *Evaluator) Fields() ([]float64, []vec.V3, *Stats) {
-	t := e.Tree
-	n := len(t.Pos)
-	phi := make([]float64, n)
-	field := make([]vec.V3, n)
-	stats := e.newStats()
-	sp := e.Cfg.Obs.Start("core/fields")
-	start := time.Now()
-	if e.Cfg.Eval == EvalBatched {
-		e.batchedLeaves(e.Cfg.Workers, sp, stats, func(w *batchWorker, li int) {
-			w.leafFields(li, phi, field)
-		})
-	} else {
-		e.parallelChunks(n, e.Cfg.Workers, func(lo, hi int, w *worker) {
-			for i := lo; i < hi; i++ {
-				p, f := w.field(t.Pos[i], i)
-				phi[t.Perm[i]] = p
-				field[t.Perm[i]] = f
-			}
-		}, stats, sp)
-	}
-	stats.EvalTime = time.Since(start)
-	sp.End()
-	return phi, field, stats
+	return e.evaluate("core/fields", nil, e.Cfg.Workers, true)
 }
 
 // FieldsFor is Fields restricted to a target subset: active marks, by
@@ -388,44 +358,45 @@ func (e *Evaluator) Fields() ([]float64, []vec.V3, *Stats) {
 // survive active-only refits untouched for the step that next needs them.
 // A nil mask is Fields.
 func (e *Evaluator) FieldsFor(active []bool) ([]float64, []vec.V3, *Stats) {
-	if active == nil {
-		return e.Fields()
-	}
+	return e.evaluate("core/fields", active, e.Cfg.Workers, true)
+}
+
+// evaluate is the one driver behind Potentials, Fields and FieldsFor: it
+// evaluates the targets the active mask selects (nil means all) under the
+// span name, with the potential only or, when field is set, the potential
+// and E = -grad(phi) (field is nil otherwise). The output kind is fixed on
+// each worker, so the walk and the batched leaf pass share every step.
+func (e *Evaluator) evaluate(span string, active []bool, workers int, field bool) ([]float64, []vec.V3, *Stats) {
 	t := e.Tree
 	n := len(t.Pos)
 	phi := make([]float64, n)
-	field := make([]vec.V3, n)
+	var f []vec.V3
+	if field {
+		f = make([]vec.V3, n)
+	}
 	stats := e.newStats()
-	sp := e.Cfg.Obs.Start("core/fields")
+	sp := e.Cfg.Obs.Start(span)
 	start := time.Now()
 	if e.Cfg.Eval == EvalBatched {
-		tasks := make([]int, 0, len(e.leaves))
-		for li, leaf := range e.leaves {
-			for i := leaf.Start; i < leaf.End; i++ {
-				if active[t.Perm[i]] {
-					tasks = append(tasks, li)
-					break
-				}
-			}
-		}
-		e.batchedOver(tasks, active, e.Cfg.Workers, sp, stats, func(w *batchWorker, li int) {
-			w.leafFields(li, phi, field)
-		})
+		e.batched(active, workers, sp, stats, phi, f)
 	} else {
-		e.parallelChunks(n, e.Cfg.Workers, func(lo, hi int, w *worker) {
+		e.parallelChunks(n, workers, field, sp, stats, func(lo, hi int, w *worker) {
 			for i := lo; i < hi; i++ {
-				if !active[t.Perm[i]] {
+				o := t.Perm[i]
+				if active != nil && !active[o] {
 					continue
 				}
-				p, f := w.field(t.Pos[i], i)
-				phi[t.Perm[i]] = p
-				field[t.Perm[i]] = f
+				p, g := w.walk(t.Root, t.Pos[i], i)
+				phi[o] = p
+				if field {
+					f[o] = g
+				}
 			}
-		}, stats, sp)
+		})
 	}
 	stats.EvalTime = time.Since(start)
 	sp.End()
-	return phi, field, stats
+	return phi, f, stats
 }
 
 func (e *Evaluator) newStats() *Stats {
@@ -438,28 +409,45 @@ func (e *Evaluator) newStats() *Stats {
 	}
 }
 
-// worker holds per-goroutine scratch state. shard is the worker's private
-// observability accumulator (nil when obs is disabled); the single
-// `w.shard != nil` branch is the hot path's whole obs cost in that case.
+// worker holds per-goroutine scratch state. field fixes the output kind
+// when the worker is created: the potential and E = -grad(phi) when set,
+// the potential alone otherwise (the returned field is then zero). shard is
+// the worker's private observability accumulator (nil when obs is
+// disabled); the single `w.shard != nil` branch is the hot path's whole obs
+// cost in that case.
 type worker struct {
 	e     *Evaluator
+	field bool
 	buf   []complex128
 	stats Stats
 	shard *obs.Shard
 }
 
-func (e *Evaluator) newWorker() *worker {
-	return &worker{
+func (e *Evaluator) newWorker(field bool) worker {
+	return worker{
 		e:     e,
+		field: field,
 		buf:   make([]complex128, harmonics.Len(e.MaxSelectedDegree()+1)),
 		shard: e.Cfg.Obs.NewShard(),
 	}
 }
 
+// done merges the worker's stats into stats (under mu when several workers
+// share it) and its metric shard into the collector.
+func (w *worker) done(stats *Stats, mu *sync.Mutex) {
+	if mu != nil {
+		mu.Lock()
+		defer mu.Unlock()
+	}
+	stats.add(&w.stats)
+	w.shard.Merge()
+}
+
 // parallelChunks runs body over [0,n) in ChunkSize blocks on the given
-// number of goroutines and merges per-worker stats (and, when obs is
-// enabled, per-worker metric shards and spans under parent).
-func (e *Evaluator) parallelChunks(n, workers int, body func(lo, hi int, w *worker), stats *Stats, parent *obs.Span) {
+// number of goroutines, each with a worker of the given output kind, and
+// merges per-worker stats (and, when obs is enabled, per-worker metric
+// shards and spans under parent).
+func (e *Evaluator) parallelChunks(n, workers int, field bool, parent *obs.Span, stats *Stats, body func(lo, hi int, w *worker)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -470,16 +458,11 @@ func (e *Evaluator) parallelChunks(n, workers int, body func(lo, hi int, w *work
 	}
 	if workers <= 1 {
 		sp := parent.ChildWorker("worker", 0)
-		w := e.newWorker()
+		w := e.newWorker(field)
 		for lo := 0; lo < n; lo += chunk {
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			body(lo, hi, w)
+			body(lo, min(lo+chunk, n), &w)
 		}
-		stats.add(&w.stats)
-		w.shard.Merge()
+		w.done(stats, nil)
 		sp.End()
 		return
 	}
@@ -491,41 +474,29 @@ func (e *Evaluator) parallelChunks(n, workers int, body func(lo, hi int, w *work
 		go func(g int) {
 			defer wg.Done()
 			sp := parent.ChildWorker("worker", g)
-			w := e.newWorker()
+			w := e.newWorker(field)
 			for {
-				c := next.Add(1) - 1
-				lo := int(c) * chunk
+				lo := int(next.Add(1)-1) * chunk
 				if lo >= n {
 					break
 				}
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				body(lo, hi, w)
+				body(lo, min(lo+chunk, n), &w)
 			}
-			mu.Lock()
-			stats.add(&w.stats)
-			mu.Unlock()
-			w.shard.Merge()
+			w.done(stats, &mu)
 			sp.End()
 		}(g)
 	}
 	wg.Wait()
 }
 
-// potential evaluates the treecode potential at x; self >= 0 excludes the
+// walk evaluates the treecode at x over the subtree at n: the potential,
+// and the field when the worker computes fields. self >= 0 excludes the
 // particle at tree-order index self from direct sums.
-func (w *worker) potential(x vec.V3, self int) float64 {
-	return w.walk(w.e.Tree.Root, x, self)
-}
-
-// walk accumulates the treecode potential over the subtree at n.
 //
 //treecode:hot
-func (w *worker) walk(n *tree.Node, x vec.V3, self int) float64 {
+func (w *worker) walk(n *tree.Node, x vec.V3, self int) (float64, vec.V3) {
 	if w.e.Cfg.MAC.Accept(x, n) {
-		return w.acceptM2P(n, x)
+		return w.accept(n, x)
 	}
 	if w.shard != nil {
 		w.shard.Reject(n.Level)
@@ -533,66 +504,95 @@ func (w *worker) walk(n *tree.Node, x vec.V3, self int) float64 {
 	return w.walkBelow(n, x, self)
 }
 
-// acceptM2P evaluates one accepted cluster interaction (M2P) with full
-// stats accounting, shared by the walk and batched traversals.
+// accept evaluates one accepted cluster interaction (M2P), shared by the
+// walk and the batched traversal: stats, the Theorem 1 truncation bound,
+// the obs record, then the kernel of the worker's output kind — the fused
+// potential kernel, or the potential+gradient kernel.
 //
 //treecode:hot
-func (w *worker) acceptM2P(n *tree.Node, x vec.V3) float64 {
+func (w *worker) accept(n *tree.Node, x vec.V3) (float64, vec.V3) {
 	p := n.Degree
 	w.stats.Terms += multipole.Terms(p)
 	w.stats.PC++
 	if p > w.stats.MaxDegree {
 		w.stats.MaxDegree = p
 	}
-	w.stats.BoundSum += n.Mp.BoundAt(x, p)
+	w.stats.BoundSum += multipole.TruncationBoundFast(n.Mp.AbsCharge, n.Mp.Radius, x.Dist(n.Mp.Center), p)
 	if w.shard != nil {
 		w.recordAccept(n, x, p)
 	}
-	return n.Mp.EvaluatePrefix(x, p, w.buf)
+	if !w.field {
+		return n.Mp.EvaluateFused(x, p), vec.V3{}
+	}
+	phi, grad := n.Mp.EvaluateFieldBuf(x, p, w.buf)
+	return phi, grad.Neg()
 }
 
-// walkBelow accumulates the potential over the subtree at n for a target
-// already known to reject n: a leaf is summed directly, an internal node
-// descends into its children. The batched traversal's refinement band
-// lands here too, after its own exact per-particle rejection.
+// walkBelow evaluates the subtree at n for a target already known to
+// reject n: a leaf is summed directly, an internal node descends into its
+// children. The batched traversal's refinement band lands here too, after
+// its own exact per-particle rejection.
 //
 //treecode:hot
-func (w *worker) walkBelow(n *tree.Node, x vec.V3, self int) float64 {
+func (w *worker) walkBelow(n *tree.Node, x vec.V3, self int) (float64, vec.V3) {
 	if n.IsLeaf() {
-		phi, pp := w.direct(n, x, self)
-		w.stats.PP += pp
-		if w.shard != nil {
-			w.shard.Direct(n.Level, pp)
-		}
-		return phi
+		return w.direct(n, x, self)
 	}
 	var phi float64
+	var f vec.V3
 	for _, c := range n.Children {
-		phi += w.walk(c, x, self)
+		p, g := w.walk(c, x, self)
+		phi += p
+		f = f.Add(g)
 	}
-	return phi
+	return phi, f
 }
 
 // direct sums the particles of leaf n at x (P2P over the leaf's contiguous
-// tree-order slice), skipping the self particle and coincident sources.
+// tree-order slice), skipping the self particle and coincident sources, and
+// counts the pairs. Each pair sees r^2 = |d|^2 + Soften^2, so a zero
+// softening length is the bare 1/r kernel.
 //
 //treecode:hot
-func (w *worker) direct(n *tree.Node, x vec.V3, self int) (float64, int64) {
+func (w *worker) direct(n *tree.Node, x vec.V3, self int) (float64, vec.V3) {
 	t := w.e.Tree
+	eps2 := w.e.Cfg.Soften * w.e.Cfg.Soften
 	var phi float64
+	var f vec.V3
 	var pp int64
-	for j := n.Start; j < n.End; j++ {
-		if j == self {
-			continue
+	if w.field {
+		for j := n.Start; j < n.End; j++ {
+			if j == self {
+				continue
+			}
+			d := x.Sub(t.Pos[j])
+			r2 := d.Norm2() + eps2
+			if r2 == 0 {
+				continue // coincident target and source: skip, as direct does
+			}
+			invR := 1 / math.Sqrt(r2)
+			phi += t.Q[j] * invR
+			f = f.Add(d.Scale(t.Q[j] * invR / r2))
+			pp++
 		}
-		r := x.Dist(t.Pos[j])
-		if r == 0 {
-			continue // coincident target and source: skip, as direct does
+	} else {
+		for j := n.Start; j < n.End; j++ {
+			if j == self {
+				continue
+			}
+			r := math.Sqrt(x.Sub(t.Pos[j]).Norm2() + eps2)
+			if r == 0 {
+				continue
+			}
+			phi += t.Q[j] / r
+			pp++
 		}
-		phi += t.Q[j] / r
-		pp++
 	}
-	return phi, pp
+	w.stats.PP += pp
+	if w.shard != nil {
+		w.shard.Direct(n.Level, pp)
+	}
+	return phi, f
 }
 
 // recordAccept feeds one accepted interaction to the worker's obs shard:
@@ -608,89 +608,6 @@ func (w *worker) recordAccept(n *tree.Node, x vec.V3, p int) {
 	}
 	w.shard.Accept(n.Level, p, multipole.Terms(p), ratio,
 		bounds.AlphaBound(n.AbsCharge, r, w.e.Cfg.Alpha, p))
-}
-
-// field evaluates potential and field E = -grad(phi) at x.
-func (w *worker) field(x vec.V3, self int) (float64, vec.V3) {
-	return w.walkField(w.e.Tree.Root, x, self)
-}
-
-// walkField accumulates potential and field over the subtree at n.
-//
-//treecode:hot
-func (w *worker) walkField(n *tree.Node, x vec.V3, self int) (float64, vec.V3) {
-	if w.e.Cfg.MAC.Accept(x, n) {
-		return w.acceptM2PField(n, x)
-	}
-	if w.shard != nil {
-		w.shard.Reject(n.Level)
-	}
-	return w.walkFieldBelow(n, x, self)
-}
-
-// acceptM2PField is acceptM2P's potential+field counterpart.
-//
-//treecode:hot
-func (w *worker) acceptM2PField(n *tree.Node, x vec.V3) (float64, vec.V3) {
-	p := n.Degree
-	w.stats.Terms += multipole.Terms(p)
-	w.stats.PC++
-	if p > w.stats.MaxDegree {
-		w.stats.MaxDegree = p
-	}
-	w.stats.BoundSum += n.Mp.BoundAt(x, p)
-	if w.shard != nil {
-		w.recordAccept(n, x, p)
-	}
-	phi, grad := n.Mp.EvaluateFieldBuf(x, p, w.buf)
-	return phi, grad.Neg()
-}
-
-// walkFieldBelow is walkBelow's potential+field counterpart.
-//
-//treecode:hot
-func (w *worker) walkFieldBelow(n *tree.Node, x vec.V3, self int) (float64, vec.V3) {
-	if n.IsLeaf() {
-		phi, f, pp := w.directField(n, x, self)
-		w.stats.PP += pp
-		if w.shard != nil {
-			w.shard.Direct(n.Level, pp)
-		}
-		return phi, f
-	}
-	var phi float64
-	var f vec.V3
-	for _, c := range n.Children {
-		p, g := w.walkField(c, x, self)
-		phi += p
-		f = f.Add(g)
-	}
-	return phi, f
-}
-
-// directField is direct's potential+field counterpart.
-//
-//treecode:hot
-func (w *worker) directField(n *tree.Node, x vec.V3, self int) (float64, vec.V3, int64) {
-	t := w.e.Tree
-	var phi float64
-	var f vec.V3
-	var pp int64
-	for j := n.Start; j < n.End; j++ {
-		if j == self {
-			continue
-		}
-		d := x.Sub(t.Pos[j])
-		r2 := d.Norm2()
-		if r2 == 0 {
-			continue
-		}
-		invR := 1 / math.Sqrt(r2)
-		phi += t.Q[j] * invR
-		f = f.Add(d.Scale(t.Q[j] * invR / r2))
-		pp++
-	}
-	return phi, f, pp
 }
 
 // VisitInteractions walks the interaction set of a target exactly as the

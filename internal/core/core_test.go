@@ -236,6 +236,11 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(&points.Set{}, Config{}); err == nil {
 		t.Error("empty set should fail")
 	}
+	for _, eps := range []float64{-0.01, math.NaN(), math.Inf(1)} {
+		if _, err := New(set, Config{Soften: eps}); err == nil {
+			t.Errorf("softening length %v should fail", eps)
+		}
+	}
 }
 
 func TestStatsSanity(t *testing.T) {

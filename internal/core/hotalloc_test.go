@@ -171,26 +171,27 @@ func TestBatchedLeafKernelZeroAllocs(t *testing.T) {
 	e.ensurePlans()
 	out := make([]float64, set.N())
 	for li := range e.leaves {
-		w.leafPotentials(li, out) // warm-up: build every leaf's plan
+		w.leafPass(li, out, nil) // warm-up: build every leaf's plan
 	}
 	if a := testing.AllocsPerRun(3, func() {
 		for li := range e.leaves {
-			w.leafPotentials(li, out)
+			w.leafPass(li, out, nil)
 		}
 	}); a != 0 {
-		t.Fatalf("steady-state leafPotentials pass allocates %v times", a)
+		t.Fatalf("steady-state potential leafPass allocates %v times", a)
 	}
 
 	phi := make([]float64, set.N())
 	field := make([]vec.V3, set.N())
+	w.field = true
 	for li := range e.leaves {
-		w.leafFields(li, phi, field)
+		w.leafPass(li, phi, field)
 	}
 	if a := testing.AllocsPerRun(3, func() {
 		for li := range e.leaves {
-			w.leafFields(li, phi, field)
+			w.leafPass(li, phi, field)
 		}
 	}); a != 0 {
-		t.Fatalf("steady-state leafFields pass allocates %v times", a)
+		t.Fatalf("steady-state field leafPass allocates %v times", a)
 	}
 }

@@ -36,6 +36,7 @@ import (
 	"treecode/internal/obs"
 	"treecode/internal/points"
 	"treecode/internal/tree"
+	"treecode/internal/vec"
 )
 
 // Config controls the FMM evaluator.
@@ -160,9 +161,27 @@ func New(set *points.Set, cfg Config) (*Evaluator, error) {
 // Potentials evaluates the potential at every particle (self-excluded), in
 // the original particle order.
 func (e *Evaluator) Potentials() ([]float64, *Stats) {
+	phi, _, st := e.eval(false)
+	return phi, st
+}
+
+// Fields evaluates potential and field E = -grad(phi) at every particle
+// (self-excluded), in the original particle order. It runs the same sweep
+// as Potentials, so its potentials are Potentials' bit for bit.
+func (e *Evaluator) Fields() ([]float64, []vec.V3, *Stats) {
+	return e.eval(true)
+}
+
+// eval is the one sweep behind Potentials and Fields: the potential, and
+// with field set also E = -grad(phi) (nil otherwise), in original order.
+func (e *Evaluator) eval(field bool) ([]float64, []vec.V3, *Stats) {
 	t := e.Tree
 	n := len(t.Pos)
 	out := make([]float64, n) // tree order during the sweep
+	var outF []vec.V3
+	if field {
+		outF = make([]vec.V3, n)
+	}
 	st := &Stats{TreeHeight: t.Height, TreeNodes: t.NNodes, BuildTime: e.BuildTime(), UpTerms: e.UpwardTerms()}
 	start := time.Now()
 
@@ -181,23 +200,30 @@ func (e *Evaluator) Potentials() ([]float64, *Stats) {
 	s.traverse(t.Root, t.Root, st)
 	sp.End()
 	sp = esp.Child("m2l")
-	s.runM2L(st)
+	s.runM2L()
 	sp.End()
 	sp = esp.Child("p2p")
-	s.runP2P(out, st)
+	s.runP2P(out, outF)
 	sp.End()
 	sp = esp.Child("downward")
-	s.downward(t.Root, nil, out, st)
+	s.downward(t.Root, nil, out, outF)
 	sp.End()
 	esp.End()
 
 	st.EvalTime = time.Since(start)
 	// Permute back to original order.
-	res := make([]float64, n)
+	phi := make([]float64, n)
 	for i, orig := range t.Perm {
-		res[orig] = out[i]
+		phi[orig] = out[i]
 	}
-	return res, st
+	if !field {
+		return phi, nil, st
+	}
+	f := make([]vec.V3, n)
+	for i, orig := range t.Perm {
+		f[orig] = outF[i]
+	}
+	return phi, f, st
 }
 
 // separated reports whether the pair can interact through expansions.
@@ -236,7 +262,7 @@ func (s *sweep) traverse(a, b *tree.Node, st *Stats) {
 // runM2L executes all multipole-to-local conversions, one goroutine per
 // chunk of target nodes (each target's local is touched by exactly one
 // task list, so no synchronization on the expansions is needed).
-func (s *sweep) runM2L(st *Stats) {
+func (s *sweep) runM2L() {
 	e := s.e
 	targets := make([]*tree.Node, 0, len(s.m2lTasks))
 	// Deterministic order: tree order by Start index, ties by level.
@@ -256,12 +282,12 @@ func (s *sweep) runM2L(st *Stats) {
 		s.locals[a] = la
 		mu.Unlock()
 	})
-	_ = st
 }
 
-// runP2P executes all near-field direct sums, one target leaf at a time
-// (out slots of distinct leaves are disjoint).
-func (s *sweep) runP2P(out []float64, st *Stats) {
+// runP2P executes all near-field direct sums into out and, when outF is
+// non-nil, the near fields into outF, one target leaf at a time (slots of
+// distinct leaves are disjoint).
+func (s *sweep) runP2P(out []float64, outF []vec.V3) {
 	e := s.e
 	t := e.Tree
 	leaves := make([]*tree.Node, 0, len(s.p2pTasks))
@@ -275,22 +301,41 @@ func (s *sweep) runP2P(out []float64, st *Stats) {
 		for i := a.Start; i < a.End; i++ {
 			xi := t.Pos[i]
 			var phi float64
+			var f vec.V3
 			for _, b := range s.p2pTasks[a] {
+				if outF == nil {
+					for j := b.Start; j < b.End; j++ {
+						if i == j {
+							continue
+						}
+						r := xi.Dist(t.Pos[j])
+						if r == 0 {
+							continue
+						}
+						phi += t.Q[j] / r
+					}
+					continue
+				}
 				for j := b.Start; j < b.End; j++ {
 					if i == j {
 						continue
 					}
-					r := xi.Dist(t.Pos[j])
-					if r == 0 {
+					d := xi.Sub(t.Pos[j])
+					r2 := d.Norm2()
+					if r2 == 0 {
 						continue
 					}
-					phi += t.Q[j] / r
+					invR := 1 / math.Sqrt(r2)
+					phi += t.Q[j] * invR
+					f = f.Add(d.Scale(t.Q[j] * invR / r2))
 				}
 			}
 			out[i] += phi
+			if outF != nil {
+				outF[i] = outF[i].Add(f)
+			}
 		}
 	})
-	_ = st
 }
 
 // parallelOver runs f(i) for i in [0,n) on the configured worker count.
@@ -327,8 +372,9 @@ func (e *Evaluator) parallelOver(n int, f func(int)) {
 }
 
 // downward pushes local expansions to children and evaluates them at leaf
-// particles.
-func (s *sweep) downward(n *tree.Node, inherited *multipole.Local, out []float64, st *Stats) {
+// particles: potentials into out and, when outF is non-nil, the fields
+// E = -grad(phi) into outF.
+func (s *sweep) downward(n *tree.Node, inherited *multipole.Local, out []float64, outF []vec.V3) {
 	l := s.locals[n]
 	if inherited != nil {
 		shifted := inherited.Translate(n.Center, n.Degree)
@@ -342,13 +388,19 @@ func (s *sweep) downward(n *tree.Node, inherited *multipole.Local, out []float64
 		if l != nil {
 			t := s.e.Tree
 			for i := n.Start; i < n.End; i++ {
-				out[i] += l.Evaluate(t.Pos[i])
+				if outF == nil {
+					out[i] += l.Evaluate(t.Pos[i])
+					continue
+				}
+				p, g := l.EvaluateField(t.Pos[i])
+				out[i] += p
+				outF[i] = outF[i].Add(g.Neg())
 			}
 		}
 		return
 	}
 	for _, c := range n.Children {
-		s.downward(c, l, out, st)
+		s.downward(c, l, out, outF)
 	}
 }
 

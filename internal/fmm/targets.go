@@ -1,7 +1,6 @@
 package fmm
 
 import (
-	"math"
 	"sync"
 	"time"
 
@@ -10,129 +9,6 @@ import (
 	"treecode/internal/tree"
 	"treecode/internal/vec"
 )
-
-// Fields evaluates potential and field E = -grad(phi) at every particle
-// (self-excluded), in the original particle order.
-func (e *Evaluator) Fields() (phi []float64, field []vec.V3, st *Stats) {
-	return e.FieldsFor(nil)
-}
-
-// FieldsFor is Fields restricted to a target subset: active marks, by
-// original particle index, the targets to evaluate; every particle remains
-// a source. The dual-tree traversal and M2L conversions are target-node
-// work shared by all particles of a node and run unchanged; the restriction
-// applies to the per-particle near-field sums and leaf L2P evaluations,
-// whose sums are independent per target, so active entries are bitwise
-// identical to the corresponding Fields entries. The returned slices are
-// full-length with zero entries for inactive particles. A nil mask
-// evaluates everything.
-func (e *Evaluator) FieldsFor(active []bool) (phi []float64, field []vec.V3, st *Stats) {
-	t := e.Tree
-	n := len(t.Pos)
-	outP := make([]float64, n)
-	outF := make([]vec.V3, n)
-	st = &Stats{TreeHeight: t.Height, TreeNodes: t.NNodes, BuildTime: e.BuildTime()}
-	start := time.Now()
-
-	s := &sweep{
-		e:        e,
-		locals:   make(map[*tree.Node]*multipole.Local, t.NNodes),
-		m2lTasks: make(map[*tree.Node][]*tree.Node),
-		p2pTasks: make(map[*tree.Node][]*tree.Node),
-	}
-	s.traverse(t.Root, t.Root, st)
-	s.runM2L(st)
-
-	// Near field with forces; leaves without an active target are skipped
-	// entirely.
-	leaves := make([]*tree.Node, 0, len(s.p2pTasks))
-	t.Walk(func(nd *tree.Node) {
-		if len(s.p2pTasks[nd]) == 0 {
-			return
-		}
-		if active != nil {
-			has := false
-			for i := nd.Start; i < nd.End; i++ {
-				if active[t.Perm[i]] {
-					has = true
-					break
-				}
-			}
-			if !has {
-				return
-			}
-		}
-		leaves = append(leaves, nd)
-	})
-	e.parallelOver(len(leaves), func(li int) {
-		a := leaves[li]
-		for i := a.Start; i < a.End; i++ {
-			if active != nil && !active[t.Perm[i]] {
-				continue
-			}
-			xi := t.Pos[i]
-			var p float64
-			var f vec.V3
-			for _, b := range s.p2pTasks[a] {
-				for j := b.Start; j < b.End; j++ {
-					if i == j {
-						continue
-					}
-					d := xi.Sub(t.Pos[j])
-					r2 := d.Norm2()
-					if r2 == 0 {
-						continue
-					}
-					invR := 1 / math.Sqrt(r2)
-					p += t.Q[j] * invR
-					f = f.Add(d.Scale(t.Q[j] * invR / r2))
-				}
-			}
-			outP[i] += p
-			outF[i] = outF[i].Add(f)
-		}
-	})
-
-	// Far field: locals flow down and evaluate with gradients.
-	var down func(n *tree.Node, inherited *multipole.Local)
-	down = func(n *tree.Node, inherited *multipole.Local) {
-		l := s.locals[n]
-		if inherited != nil {
-			shifted := inherited.Translate(n.Center, n.Degree)
-			if l == nil {
-				l = shifted
-			} else {
-				l.Add(shifted)
-			}
-		}
-		if n.IsLeaf() {
-			if l != nil {
-				for i := n.Start; i < n.End; i++ {
-					if active != nil && !active[t.Perm[i]] {
-						continue
-					}
-					p, g := l.EvaluateField(t.Pos[i])
-					outP[i] += p
-					outF[i] = outF[i].Add(g.Neg()) // E = -grad(phi)
-				}
-			}
-			return
-		}
-		for _, c := range n.Children {
-			down(c, l)
-		}
-	}
-	down(t.Root, nil)
-
-	st.EvalTime = time.Since(start)
-	phi = make([]float64, n)
-	field = make([]vec.V3, n)
-	for i, orig := range t.Perm {
-		phi[orig] = outP[i]
-		field[orig] = outF[i]
-	}
-	return phi, field, st
-}
 
 // PotentialsAt evaluates the potential at arbitrary target points (no
 // self-exclusion) with a target-side tree: well-separated (target cluster,

@@ -15,7 +15,10 @@ func TestEvaluateFusedMatchesPrefix(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	center := vec.V3{X: 0.3, Y: -0.2, Z: 0.1}
 	pos, q := randomCluster(rng, 60, center, 0.4)
-	for _, p := range []int{0, 1, 2, 4, 8, 15} {
+	// 20 and 26 reach the adaptive MaxDegree of the boundary-element
+	// operator (minimum degree 6 + 20), which walk potentials evaluate
+	// through EvaluateFused.
+	for _, p := range []int{0, 1, 2, 4, 8, 15, 20, 26} {
 		e := NewExpansion(center, p)
 		for i := range pos {
 			e.AddParticle(pos[i], q[i])

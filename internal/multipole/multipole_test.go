@@ -19,7 +19,7 @@ func directPotential(pos []vec.V3, q []float64, x vec.V3) float64 {
 	return phi
 }
 
-func directField(pos []vec.V3, q []float64, x vec.V3) vec.V3 {
+func directGrad(pos []vec.V3, q []float64, x vec.V3) vec.V3 {
 	var g vec.V3
 	for i, p := range pos {
 		d := x.Sub(p)
@@ -226,7 +226,7 @@ func TestM2PFieldAgainstDirect(t *testing.T) {
 		x := vec.FromSpherical(1.5+rng.Float64(), math.Acos(2*rng.Float64()-1), 2*math.Pi*rng.Float64())
 		phi, grad := e.EvaluateField(x, e.Degree)
 		wantPhi := directPotential(pos, q, x)
-		wantGrad := directField(pos, q, x)
+		wantGrad := directGrad(pos, q, x)
 		if math.Abs(phi-wantPhi) > 1e-8*(1+math.Abs(wantPhi)) {
 			t.Fatalf("field potential: %v vs %v", phi, wantPhi)
 		}
@@ -254,7 +254,7 @@ func TestL2PFieldAgainstDirect(t *testing.T) {
 		})
 		phi, grad := l.EvaluateField(x)
 		wantPhi := directPotential(pos, q, x)
-		wantGrad := directField(pos, q, x)
+		wantGrad := directGrad(pos, q, x)
 		if math.Abs(phi-wantPhi) > 1e-6*(1+math.Abs(wantPhi)) {
 			t.Fatalf("L2P potential: %v vs %v", phi, wantPhi)
 		}

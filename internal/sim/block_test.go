@@ -32,7 +32,7 @@ func TestBlockSingleRungBitwiseGlobal(t *testing.T) {
 	for _, soften := range []float64{0, 0.05} {
 		for _, policy := range []RebuildPolicy{RebuildAuto, RebuildEvery} {
 			st := gaussianState(t, 300)
-			cfg := Config{Dt: 1e-3, Force: core.Config{Degree: 4}, Soften: soften, Rebuild: policy}
+			cfg := Config{Dt: 1e-3, Force: core.Config{Degree: 4, Soften: soften}, Rebuild: policy}
 			global, err := New(cloneState(st), cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -80,10 +80,9 @@ func TestBlockMultiRungReducesEvals(t *testing.T) {
 	// criterion dt spans several octaves: the outer bulk keeps coarse
 	// steps while the core subdivides.
 	block, err := New(cloneState(st), Config{
-		Dt:     0.01,
-		Force:  core.Config{Method: core.Adaptive, Degree: 6, Alpha: 0.4, Obs: col},
-		Soften: 1e-3,
-		Block:  BlockConfig{MaxRungs: rungs, Eta: 1},
+		Dt:    0.01,
+		Force: core.Config{Method: core.Adaptive, Degree: 6, Alpha: 0.4, Obs: col, Soften: 1e-3},
+		Block: BlockConfig{MaxRungs: rungs, Eta: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -123,9 +122,8 @@ func TestBlockMultiRungReducesEvals(t *testing.T) {
 	// must still track a global-dt run at the finest step to a small
 	// fraction of the system scale.
 	ref, err := New(cloneState(st), Config{
-		Dt:     0.01 / (1 << (rungs - 1)),
-		Force:  core.Config{Method: core.Adaptive, Degree: 6, Alpha: 0.4},
-		Soften: 1e-3,
+		Dt:    0.01 / (1 << (rungs - 1)),
+		Force: core.Config{Method: core.Adaptive, Degree: 6, Alpha: 0.4, Soften: 1e-3},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -219,8 +217,7 @@ func TestBlockCheckpointContinuation(t *testing.T) {
 	st := plummerState(t, 250)
 	cfg := Config{
 		Dt:      0.04,
-		Force:   core.Config{Method: core.Adaptive, Degree: 4, Alpha: 0.4},
-		Soften:  0.01,
+		Force:   core.Config{Method: core.Adaptive, Degree: 4, Alpha: 0.4, Soften: 0.01},
 		Rebuild: RebuildEvery,
 		Block:   BlockConfig{MaxRungs: 3, Eta: 1},
 	}
@@ -274,10 +271,9 @@ func TestBlockRungJournal(t *testing.T) {
 	col := obs.New()
 	st := plummerState(t, 400)
 	s, err := New(st, Config{
-		Dt:     0.04,
-		Force:  core.Config{Method: core.Adaptive, Degree: 4, Alpha: 0.4, Obs: col},
-		Soften: 0.01,
-		Block:  BlockConfig{MaxRungs: 4, Eta: 1},
+		Dt:    0.04,
+		Force: core.Config{Method: core.Adaptive, Degree: 4, Alpha: 0.4, Obs: col, Soften: 0.01},
+		Block: BlockConfig{MaxRungs: 4, Eta: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -327,9 +323,8 @@ func TestAccelerationScratchReuse(t *testing.T) {
 	} {
 		st := gaussianState(t, 512)
 		s, err := New(st, Config{
-			Dt:     1e-6,
-			Force:  core.Config{Method: core.Adaptive, Degree: 4, Alpha: 0.4},
-			Soften: tc.soften,
+			Dt:    1e-6,
+			Force: core.Config{Method: core.Adaptive, Degree: 4, Alpha: 0.4, Soften: tc.soften},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -44,7 +44,7 @@ func (s *Simulator) Save(w io.Writer) error {
 		Version:   checkpointVersion,
 		Steps:     s.Steps,
 		Dt:        s.Cfg.Dt,
-		Soften:    s.Cfg.Soften,
+		Soften:    s.Cfg.Force.Soften,
 		Particles: s.State.Set.Particles,
 		Vel:       s.State.Vel,
 		Rungs:     s.rung,
@@ -56,8 +56,11 @@ func (s *Simulator) Save(w io.Writer) error {
 // configuration for subsequent steps. Version-1 checkpoints (pre
 // block-timestep) load with empty rung state; a block-mode continuation
 // then re-seeds its rungs on the first step, exactly like a fresh run.
-// Saved rungs deeper than the continuation's Block.MaxRungs allows are
-// clamped to its finest rung; a negative rung is an error.
+// The saved softening length replaces force.Force.Soften, since it is a
+// physical parameter of the run. Saved rungs deeper than the
+// continuation's Block.MaxRungs allows are clamped to its finest rung; a
+// negative rung or a non-finite cached acceleration is an error, and New
+// rejects non-finite positions, velocities, masses, Dt and softening.
 func Load(r io.Reader, force Config) (*Simulator, error) {
 	var c checkpoint
 	if err := gob.NewDecoder(r).Decode(&c); err != nil {
@@ -68,7 +71,7 @@ func Load(r io.Reader, force Config) (*Simulator, error) {
 	}
 	cfg := force
 	cfg.Dt = c.Dt
-	cfg.Soften = c.Soften
+	cfg.Force.Soften = c.Soften
 	sim, err := New(State{Set: &points.Set{Particles: c.Particles}, Vel: c.Vel}, cfg)
 	if err != nil {
 		return nil, err
@@ -84,6 +87,9 @@ func Load(r io.Reader, force Config) (*Simulator, error) {
 				return nil, fmt.Errorf("sim: checkpoint rung %d of particle %d is negative", r, i)
 			}
 			c.Rungs[i] = min(r, top)
+			if a := c.BlockAcc[i]; !finite(a.X, a.Y, a.Z) {
+				return nil, fmt.Errorf("sim: checkpoint acceleration of particle %d is not finite", i)
+			}
 		}
 		sim.rung = c.Rungs
 		sim.blockAcc = c.BlockAcc

@@ -17,7 +17,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	// persistent engine to refit, so under RebuildAuto the original (which
 	// refits) and the restored (which builds fresh) would legitimately
 	// differ by summation-order ulps while agreeing to treecode accuracy.
-	cfg := Config{Dt: 1e-3, Soften: 0.01, Force: core.Config{Degree: 4}, Rebuild: RebuildEvery}
+	cfg := Config{Dt: 1e-3, Force: core.Config{Degree: 4, Soften: 0.01}, Rebuild: RebuildEvery}
 	s, err := New(State{Set: set, Vel: make([]vec.V3, set.N())}, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -37,7 +37,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if restored.Steps != 3 {
 		t.Fatalf("steps = %d", restored.Steps)
 	}
-	if restored.Cfg.Dt != 1e-3 || restored.Cfg.Soften != 0.01 {
+	if restored.Cfg.Dt != 1e-3 || restored.Cfg.Force.Soften != 0.01 {
 		t.Fatal("physical parameters lost")
 	}
 	// Bit-identical state.
@@ -91,10 +91,9 @@ func TestLoadFewerRungs(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{
-		Dt:     0.04,
-		Force:  core.Config{Method: core.Adaptive, Degree: 3},
-		Soften: 0.01,
-		Block:  BlockConfig{MaxRungs: 6, Eta: 0.05},
+		Dt:    0.04,
+		Force: core.Config{Method: core.Adaptive, Degree: 3, Soften: 0.01},
+		Block: BlockConfig{MaxRungs: 6, Eta: 0.05},
 	}
 	s, err := New(State{Set: set, Vel: make([]vec.V3, set.N())}, cfg)
 	if err != nil {
@@ -148,4 +147,69 @@ func TestLoadNegativeRung(t *testing.T) {
 	if _, err := Load(&buf, Config{Block: BlockConfig{MaxRungs: 3}}); err == nil {
 		t.Fatal("negative rung loaded")
 	}
+}
+
+// FuzzLoad: Load never panics on a hostile document and never returns a
+// simulator holding non-finite state or a rung outside the continuing
+// configuration. The corpus is seeded with a version-1 document, a
+// version-2 block document, and the MaxRungs 6 document TestLoadFewerRungs
+// continues at MaxRungs 2 (every input loads at MaxRungs 2).
+func FuzzLoad(f *testing.F) {
+	set, err := points.Generate(points.Plummer, 40, 3)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var v1 bytes.Buffer
+	if err := gob.NewEncoder(&v1).Encode(checkpoint{
+		Version: 1, Steps: 2, Dt: 0.01, Soften: 0.01,
+		Particles: set.Particles, Vel: make([]vec.V3, set.N()),
+	}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v1.Bytes())
+	for _, rungs := range []int{2, 6} {
+		s, err := New(State{Set: set.Clone(), Vel: make([]vec.V3, set.N())}, Config{
+			Dt:    0.04,
+			Force: core.Config{Method: core.Adaptive, Degree: 3, Soften: 0.01},
+			Block: BlockConfig{MaxRungs: rungs, Eta: 0.05},
+		})
+		if err != nil {
+			f.Fatal(err)
+		}
+		if err := s.Run(1); err != nil {
+			f.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := s.Save(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	const maxRungs = 2
+	cfg := Config{Force: core.Config{Degree: 3}, Block: BlockConfig{MaxRungs: maxRungs}}
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		s, err := Load(bytes.NewReader(doc), cfg)
+		if err != nil {
+			return
+		}
+		if !finite(s.Cfg.Dt, s.Cfg.Force.Soften) || !(s.Cfg.Dt > 0) || s.Cfg.Force.Soften < 0 {
+			t.Fatalf("loaded dt %v, soften %v", s.Cfg.Dt, s.Cfg.Force.Soften)
+		}
+		for i, p := range s.State.Set.Particles {
+			v := s.State.Vel[i]
+			if !finite(p.Pos.X, p.Pos.Y, p.Pos.Z, p.Charge, v.X, v.Y, v.Z) {
+				t.Fatalf("particle %d loaded non-finite: %+v, velocity %v", i, p, v)
+			}
+		}
+		for i, a := range s.blockAcc {
+			if !finite(a.X, a.Y, a.Z) {
+				t.Fatalf("cached acceleration %d loaded non-finite: %v", i, a)
+			}
+		}
+		for i, r := range s.rung {
+			if r < 0 || r >= maxRungs {
+				t.Fatalf("rung %d of particle %d outside [0,%d)", r, i, maxRungs)
+			}
+		}
+	})
 }

@@ -12,14 +12,10 @@ package sim
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"treecode/internal/core"
-	"treecode/internal/harmonics"
-	"treecode/internal/multipole"
 	"treecode/internal/obs"
 	"treecode/internal/points"
-	"treecode/internal/tree"
 	"treecode/internal/vec"
 )
 
@@ -104,10 +100,13 @@ func (b BlockConfig) eta() float64 {
 }
 
 // Config controls the simulation.
+//
+// The Plummer softening length is Force.Soften: the evaluator applies it
+// to its direct (P2P) pairs, and Energy and the block timestep criterion
+// read it from there.
 type Config struct {
 	Dt      float64       // macro timestep
 	Force   core.Config   // treecode configuration used every step
-	Soften  float64       // Plummer softening length (0 = none)
 	Rebuild RebuildPolicy // evaluator lifecycle across steps (default auto)
 	Block   BlockConfig   // hierarchical block timesteps (zero = global dt)
 }
@@ -138,12 +137,10 @@ type Simulator struct {
 	// feeding the per-step obs time series.
 	lastRebuild string
 
-	// Reused per-call scratch of the acceleration paths: accBuf backs the
-	// slice Accelerations returns (copy it to keep it across evaluations),
-	// harmBuf the softened path's multipole evaluation workspace. Both are
-	// sized on first use and grow monotonically.
-	accBuf  []vec.V3
-	harmBuf []complex128
+	// accBuf backs the slice Accelerations returns (copy it to keep it
+	// across evaluations); it is sized on first use and grows
+	// monotonically.
+	accBuf []vec.V3
 
 	// Block-timestep state (nil outside block mode). rung, blockAcc, and
 	// nextSub are indexed by original particle index: the particle's
@@ -159,7 +156,11 @@ type Simulator struct {
 	scaleBuf []float64
 }
 
-// New validates and wraps the initial state.
+// New validates and wraps the initial state. It rejects a non-positive or
+// non-finite Dt, a negative or non-finite block Eta, an invalid force
+// configuration (including a negative or non-finite softening length), and
+// non-finite positions, masses or velocities, so a bad input fails here
+// rather than corrupting the state in the first Step.
 func New(st State, cfg Config) (*Simulator, error) {
 	if st.Set == nil || st.Set.N() == 0 {
 		return nil, fmt.Errorf("sim: empty system")
@@ -167,16 +168,37 @@ func New(st State, cfg Config) (*Simulator, error) {
 	if len(st.Vel) != st.Set.N() {
 		return nil, fmt.Errorf("sim: %d velocities for %d particles", len(st.Vel), st.Set.N())
 	}
-	if cfg.Dt <= 0 {
-		return nil, fmt.Errorf("sim: non-positive dt %v", cfg.Dt)
+	if !(cfg.Dt > 0) || math.IsInf(cfg.Dt, 1) {
+		return nil, fmt.Errorf("sim: dt must be positive and finite, got %v", cfg.Dt)
 	}
 	if cfg.Block.MaxRungs < 0 || cfg.Block.MaxRungs > maxBlockRungs {
 		return nil, fmt.Errorf("sim: block rungs %d out of range [0,%d]", cfg.Block.MaxRungs, maxBlockRungs)
 	}
-	if cfg.Block.Eta < 0 {
-		return nil, fmt.Errorf("sim: negative block eta %v", cfg.Block.Eta)
+	if !(cfg.Block.Eta >= 0) || math.IsInf(cfg.Block.Eta, 1) {
+		return nil, fmt.Errorf("sim: block eta must be non-negative and finite, got %v", cfg.Block.Eta)
+	}
+	if err := cfg.Force.Validate(); err != nil {
+		return nil, err
+	}
+	for i, p := range st.Set.Particles {
+		if !finite(p.Pos.X, p.Pos.Y, p.Pos.Z, p.Charge) {
+			return nil, fmt.Errorf("sim: particle %d has a non-finite position or mass", i)
+		}
+		if v := st.Vel[i]; !finite(v.X, v.Y, v.Z) {
+			return nil, fmt.Errorf("sim: particle %d has a non-finite velocity", i)
+		}
 	}
 	return &Simulator{Cfg: cfg, State: st}, nil
+}
+
+// finite reports whether every x is neither NaN nor infinite.
+func finite(xs ...float64) bool {
+	for _, x := range xs {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // evaluator returns a treecode evaluator positioned at the current State:
@@ -244,11 +266,9 @@ func (s *Simulator) Accelerations() ([]vec.V3, *core.Stats, error) {
 // accelerationsFor computes accelerations for the active target subset (by
 // original particle index; nil = everyone, identical to Accelerations).
 // With a mask, only active entries of the returned scratch are written —
-// the rest hold stale values from earlier evaluations.
+// the rest hold stale values from earlier evaluations. Softening is the
+// evaluator's own (Force.Soften), so softened runs take the same path.
 func (s *Simulator) accelerationsFor(active []bool) ([]vec.V3, *core.Stats, error) {
-	if s.Cfg.Soften > 0 {
-		return s.softenedAccelFor(active)
-	}
 	e, err := s.evaluatorFor(active)
 	if err != nil {
 		return nil, nil, err
@@ -256,83 +276,11 @@ func (s *Simulator) accelerationsFor(active []bool) ([]vec.V3, *core.Stats, erro
 	s.captureScales(e)
 	_, field, st := e.FieldsFor(active)
 	acc := s.accScratch(len(field))
-	if active == nil {
-		for i, f := range field {
+	for i, f := range field {
+		if active == nil || active[i] {
 			acc[i] = f.Neg() // attractive
 		}
-		return acc, st, nil
 	}
-	for i, f := range field {
-		if active[i] {
-			acc[i] = f.Neg()
-		}
-	}
-	return acc, st, nil
-}
-
-// softenedAccelFor computes Plummer-softened accelerations directly through
-// the tree walk of near-field pairs plus far-field multipoles, restricted
-// to the active target subset (nil = all). Softening only matters at short
-// range, so it is applied to the direct part; the multipole far field is
-// unsoftened (r >> eps there).
-func (s *Simulator) softenedAccelFor(active []bool) ([]vec.V3, *core.Stats, error) {
-	e, err := s.evaluatorFor(active)
-	if err != nil {
-		return nil, nil, err
-	}
-	s.captureScales(e)
-	t := e.Tree
-	eps2 := s.Cfg.Soften * s.Cfg.Soften
-	n := len(t.Pos)
-	acc := s.accScratch(n)
-	st := &core.Stats{
-		BuildTime:  e.BuildTime(),
-		TreeHeight: t.Height,
-		TreeNodes:  t.NNodes,
-		TreeLeaves: t.NLeaves,
-	}
-	if need := harmonics.Len(e.MaxSelectedDegree() + 1); cap(s.harmBuf) < need {
-		s.harmBuf = make([]complex128, need)
-	}
-	buf := s.harmBuf[:harmonics.Len(e.MaxSelectedDegree()+1)]
-	start := time.Now()
-	// The visitor closures are hoisted out of the particle loop (reaching
-	// the per-particle state through a and xi) so the loop allocates
-	// nothing; per-iteration closures would escape once per particle.
-	var (
-		a  vec.V3
-		xi vec.V3
-	)
-	cluster := func(nd *tree.Node, degree int) {
-		st.PC++
-		st.Terms += multipole.Terms(degree)
-		if degree > st.MaxDegree {
-			st.MaxDegree = degree
-		}
-		st.BoundSum += nd.Mp.BoundAt(xi, degree)
-		_, grad := nd.Mp.EvaluateFieldBuf(xi, degree, buf)
-		a = a.Add(grad) // attractive: acc = +grad(phi) with phi = sum m/r
-	}
-	particle := func(j int) {
-		d := t.Pos[j].Sub(xi)
-		r2 := d.Norm2() + eps2
-		if r2 == 0 {
-			return
-		}
-		st.PP++
-		inv := 1 / r2
-		a = a.Add(d.Scale(t.Q[j] * inv * math.Sqrt(inv)))
-	}
-	for i := 0; i < n; i++ {
-		if active != nil && !active[t.Perm[i]] {
-			continue
-		}
-		a = vec.V3{}
-		xi = t.Pos[i]
-		e.VisitInteractions(xi, i, cluster, particle)
-		acc[t.Perm[i]] = a
-	}
-	st.EvalTime = time.Since(start)
 	return acc, st, nil
 }
 
@@ -425,7 +373,7 @@ func (s *Simulator) Energy() (kin, pot, total float64) {
 	for i, p := range ps {
 		kin += 0.5 * p.Charge * s.State.Vel[i].Norm2()
 	}
-	eps2 := s.Cfg.Soften * s.Cfg.Soften
+	eps2 := s.Cfg.Force.Soften * s.Cfg.Force.Soften
 	for i := range ps {
 		for j := i + 1; j < len(ps); j++ {
 			r2 := ps[i].Pos.Dist2(ps[j].Pos) + eps2

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"treecode/internal/core"
@@ -54,9 +55,8 @@ func TestMomentumConservation(t *testing.T) {
 	set, _ := points.Generate(points.Plummer, 300, 1)
 	vel := make([]vec.V3, set.N())
 	s, err := New(State{Set: set, Vel: vel}, Config{
-		Dt:     0.001,
-		Force:  core.Config{Method: core.Adaptive, Degree: 6, Alpha: 0.4},
-		Soften: 0.01,
+		Dt:    0.001,
+		Force: core.Config{Method: core.Adaptive, Degree: 6, Alpha: 0.4, Soften: 0.01},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +80,7 @@ func TestSoftenedAccelFiniteForCoincident(t *testing.T) {
 		{Pos: vec.V3{X: 0.5, Y: 0.5, Z: 0.5}, Charge: 1},
 	}}
 	s, err := New(State{Set: set, Vel: make([]vec.V3, 2)}, Config{
-		Dt: 0.01, Soften: 0.05, Force: core.Config{Degree: 4},
+		Dt: 0.01, Force: core.Config{Degree: 4, Soften: 0.05},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +103,7 @@ func TestSoftenedMatchesUnsoftenedAtLargeSeparation(t *testing.T) {
 	}}
 	mk := func(soften float64) vec.V3 {
 		s, err := New(State{Set: set.Clone(), Vel: make([]vec.V3, 2)}, Config{
-			Dt: 0.01, Soften: soften, Force: core.Config{Degree: 6},
+			Dt: 0.01, Force: core.Config{Degree: 6, Soften: soften},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -138,6 +138,57 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestNewRejectsBadInput: each input below used to be accepted by New and
+// then corrupt the state in the first Step (a NaN or infinite dt or
+// velocity turned positions non-finite before the engine noticed) or run
+// silently unsoftened (a NaN or negative softening length). New now fails
+// on each, and leaves the state it was handed untouched.
+func TestNewRejectsBadInput(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		edit func(st State, cfg *Config)
+	}{
+		{"NaN dt", func(_ State, c *Config) { c.Dt = nan }},
+		{"+Inf dt", func(_ State, c *Config) { c.Dt = inf }},
+		{"NaN eta", func(_ State, c *Config) { c.Block = BlockConfig{MaxRungs: 3, Eta: nan} }},
+		{"+Inf eta", func(_ State, c *Config) { c.Block = BlockConfig{MaxRungs: 3, Eta: inf} }},
+		{"NaN soften", func(_ State, c *Config) { c.Force.Soften = nan }},
+		{"negative soften", func(_ State, c *Config) { c.Force.Soften = -0.01 }},
+		{"+Inf soften", func(_ State, c *Config) { c.Force.Soften = inf }},
+		{"NaN velocity", func(st State, _ *Config) { st.Vel[4].Y = nan }},
+		{"NaN position", func(st State, _ *Config) { st.Set.Particles[2].Pos.Z = nan }},
+		{"-Inf mass", func(st State, _ *Config) { st.Set.Particles[7].Charge = math.Inf(-1) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			st := gaussianState(t, 50)
+			cfg := Config{Dt: 1e-3, Force: core.Config{Degree: 4}}
+			tc.edit(st, &cfg)
+			before := stateBits(st)
+			if _, err := New(st, cfg); err == nil {
+				t.Fatal("New accepted the input")
+			}
+			if !slices.Equal(before, stateBits(st)) {
+				t.Fatal("New changed the state it rejected")
+			}
+		})
+	}
+}
+
+// stateBits lists the bit patterns of every position, mass and velocity,
+// so NaN entries compare equal to themselves.
+func stateBits(st State) []uint64 {
+	var b []uint64
+	for i, p := range st.Set.Particles {
+		v := st.Vel[i]
+		for _, x := range []float64{p.Pos.X, p.Pos.Y, p.Pos.Z, p.Charge, v.X, v.Y, v.Z} {
+			b = append(b, math.Float64bits(x))
+		}
+	}
+	return b
+}
+
 // cloneState deep-copies a State so two simulators can advance from
 // identical initial conditions.
 func cloneState(st State) State {
@@ -170,7 +221,7 @@ func gaussianState(t *testing.T, n int) State {
 func TestStepAccelerationReuseBitwise(t *testing.T) {
 	for _, soften := range []float64{0, 0.05} {
 		st := gaussianState(t, 300)
-		cfg := Config{Dt: 0.01, Force: core.Config{Degree: 4}, Soften: soften, Rebuild: RebuildEvery}
+		cfg := Config{Dt: 0.01, Force: core.Config{Degree: 4, Soften: soften}, Rebuild: RebuildEvery}
 		cached, err := New(cloneState(st), cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -298,9 +349,8 @@ func TestInvalidateForcesRebuildsEngine(t *testing.T) {
 func TestSoftenedStatsPopulated(t *testing.T) {
 	st := gaussianState(t, 400)
 	s, err := New(st, Config{
-		Dt:     1e-3,
-		Force:  core.Config{Method: core.Adaptive, Degree: 6, Alpha: 0.5},
-		Soften: 0.05,
+		Dt:    1e-3,
+		Force: core.Config{Method: core.Adaptive, Degree: 6, Alpha: 0.5, Soften: 0.05},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -326,6 +376,27 @@ func TestSoftenedStatsPopulated(t *testing.T) {
 	}
 }
 
+// TestSoftenedStepRecordsFieldsSpan: softened accelerations run through
+// the evaluator's own Fields driver, so a softened step is observed like
+// any other — one core/fields span per force evaluation.
+func TestSoftenedStepRecordsFieldsSpan(t *testing.T) {
+	col := obs.New()
+	s, err := New(gaussianState(t, 300), Config{
+		Dt:    1e-3,
+		Force: core.Config{Method: core.Adaptive, Degree: 4, Eval: core.EvalBatched, Soften: 0.05, Obs: col},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Step(); err != nil {
+		t.Fatal(err)
+	}
+	// The first step pays the opening and the closing evaluation.
+	if got := countSpans(col, "core/fields"); got != 2 {
+		t.Fatalf("softened step recorded %d core/fields spans, want 2", got)
+	}
+}
+
 // TestAutoMatchesEveryWithinBudget compares whole trajectories between the
 // persistent-engine policy and construct-per-call: both evaluate with
 // conservative MACs satisfying the same Theorem 2 budget, so after a few
@@ -337,8 +408,7 @@ func TestAutoMatchesEveryWithinBudget(t *testing.T) {
 		mk := func(p RebuildPolicy) *Simulator {
 			s, err := New(cloneState(st), Config{
 				Dt:      1e-3,
-				Force:   core.Config{Method: core.Adaptive, Degree: 8, Alpha: 0.4},
-				Soften:  soften,
+				Force:   core.Config{Method: core.Adaptive, Degree: 8, Alpha: 0.4, Soften: soften},
 				Rebuild: p,
 			})
 			if err != nil {
