@@ -6,8 +6,10 @@
 package benchfmt
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -215,7 +217,21 @@ type Doc struct {
 	StepPairs  []StepPair    `json:"step_pairs,omitempty"`
 }
 
-// ReadDoc parses a benchmark document from path. It accepts any
+// ReadDoc parses the benchmark document at path with Decode, prefixing
+// any error with the path.
+func ReadDoc(path string) (*Doc, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	d, err := Decode(bytes.NewReader(raw))
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return d, nil
+}
+
+// Decode parses one benchmark document from r. It accepts any
 // treecode-bench/* schema (older documents simply lack the newer
 // sections) but rejects documents without the schema prefix, so a stray
 // obs snapshot or unrelated JSON fails loudly instead of diffing as all
@@ -223,29 +239,29 @@ type Doc struct {
 // whose steps entries lack the plan section is rejected — the section is
 // mandatory from v5 on, and rendering it as empty cells would hide a
 // producer that stopped recording plan counters.
-func ReadDoc(path string) (*Doc, error) {
-	raw, err := os.ReadFile(path)
+func Decode(r io.Reader) (*Doc, error) {
+	raw, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
 	var d Doc
 	if err := json.Unmarshal(raw, &d); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+		return nil, err
 	}
 	const prefix = "treecode-bench/v"
 	if !strings.HasPrefix(d.Schema, prefix) {
-		return nil, fmt.Errorf("%s: schema %q is not a treecode-bench document", path, d.Schema)
+		return nil, fmt.Errorf("schema %q is not a treecode-bench document", d.Schema)
 	}
 	ver, err := strconv.Atoi(strings.TrimPrefix(d.Schema, prefix))
 	if err != nil {
-		return nil, fmt.Errorf("%s: schema %q has no parsable version", path, d.Schema)
+		return nil, fmt.Errorf("schema %q has no parsable version", d.Schema)
 	}
 	if ver >= 5 {
 		for i := range d.Steps {
 			if d.Steps[i].Plan == nil {
 				s := &d.Steps[i]
-				return nil, fmt.Errorf("%s: steps[%d] (%s n=%d workers=%d policy=%s) is missing the plan section required since schema v5",
-					path, i, s.Dist, s.N, s.Workers, s.Policy)
+				return nil, fmt.Errorf("steps[%d] (%s n=%d workers=%d policy=%s) is missing the plan section required since schema v5",
+					i, s.Dist, s.N, s.Workers, s.Policy)
 			}
 		}
 	}

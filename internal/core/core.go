@@ -6,9 +6,9 @@
 //
 // The evaluator embeds the engine shared with the FMM (internal/engine): an
 // octree whose nodes carry multipole expansions built in a bottom-up pass
-// (P2M at leaves, M2M upward) at the maximum degree any ancestor requires,
-// kept alive across timesteps by refit and across solver iterations by
-// recharge.
+// (per node, P2M over its particles or M2M from its children, at a degree
+// no lower than its own), kept alive across timesteps by refit and across
+// solver iterations by recharge.
 //
 // Evaluation walks the tree per target with a multipole acceptance
 // criterion: accepted clusters contribute through M2P, rejected leaves

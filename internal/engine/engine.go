@@ -1,20 +1,23 @@
 // Package engine holds the tree lifecycle shared by the treecode (core) and
 // the Fast Multipole Method (fmm): octree build, Theorem 3 degree selection,
-// the carried degree each expansion is built at, the upward P2M/M2M pass,
-// and the three ways the tree is kept alive across calls — refit to new
-// positions (Update/UpdateFor, with a full-rebuild fallback), recharge with
-// new source strengths (SetCharges), and rebuild. The paper's closing
-// section notes that its per-cluster degree selection "can easily be
-// extended to the Fast Multipole Method"; both evaluators embed one Engine
-// and keep only what differs: core its interaction-plan cache and walks,
-// fmm its dual-tree sweep.
+// the degree each expansion is stored at and how it is built, the upward
+// P2M/M2M pass, and the three ways the tree is kept alive across calls —
+// refit to new positions (Update/UpdateFor, with a full-rebuild fallback),
+// recharge with new source strengths (SetCharges), and rebuild. The paper's
+// closing section notes that its per-cluster degree selection "can easily
+// be extended to the Fast Multipole Method"; both evaluators embed one
+// Engine and keep only what differs: core its interaction-plan cache and
+// walks, fmm its dual-tree sweep.
 //
-// Expansions are carried upward at the maximum degree any ancestor requires
-// ("computed a-priori to the maximum required degree", as the paper
-// prescribes): a node's carried degree, tree.Node.UpDegree, is the maximum
-// of its own Degree and its parent's carried degree. In triangular storage
-// a lower-degree expansion is a prefix of a higher-degree one, so
-// evaluation simply reads the prefix it needs.
+// Each node's expansion is stored at a degree tree.Node.UpDegree no lower
+// than its own selected Degree, and built one of two ways: by direct P2M
+// over the node's contiguous range [Start, End), or by M2M from children
+// that are all stored at least as high (M2M is exact only then). A cost
+// pass run with every degree selection picks, per node, the stored degree
+// and the build path that make the whole upward pass cheapest under an
+// operation-count model (costPass). In triangular storage a lower-degree
+// expansion is a prefix of a higher-degree one, so evaluation reads the
+// prefix it needs.
 package engine
 
 import (
@@ -96,9 +99,10 @@ type Engine struct {
 
 	cfg     Config
 	hooks   Hooks
-	maxP    int   // largest carried degree (scratch sizing)
+	maxP    int   // largest selected (and stored) degree
 	upTerms int64 // P2M/M2M terms of one upward pass
 	buildT  time.Duration
+	costs   costPass // upward cost pass scratch, reused across re-selections
 
 	// Span names, <Name>/<phase>, joined once so the refit and recharge
 	// paths do not allocate them per call.
@@ -242,14 +246,14 @@ func (e *Engine) snapshotSet(pos []vec.V3) *points.Set {
 }
 
 // MaxSelectedDegree returns the largest degree selected for any node. It
-// equals the largest carried degree (carrying only propagates selections
-// downward), so callers sizing evaluation scratch read it instead of
-// re-walking the tree.
+// is also the largest stored degree (the upward cost pass never stores an
+// expansion above the largest selection), so callers sizing evaluation
+// scratch read it instead of re-walking the tree.
 func (e *Engine) MaxSelectedDegree() int { return e.maxP }
 
 // UpwardTerms returns the multipole terms one upward pass computes: the
-// carried-degree term count per particle at leaves (P2M) and per node
-// above them (M2M). It changes only when degrees are re-selected.
+// stored-degree term count per particle at each P2M-built node and once
+// per M2M-built node. It changes only when degrees are re-selected.
 func (e *Engine) UpwardTerms() int64 { return e.upTerms }
 
 // BuildTime returns the duration of the last build or refit (tree, degree
@@ -257,8 +261,9 @@ func (e *Engine) UpwardTerms() int64 { return e.upTerms }
 func (e *Engine) BuildTime() time.Duration { return e.buildT }
 
 // selectDegrees assigns every node its evaluation degree (Theorem 3 for the
-// adaptive method) and the degree its expansion is carried at, and
-// refreshes maxP and the upward term count.
+// adaptive method), then runs the upward cost pass that fixes the degree
+// each expansion is stored at and how it is built, and refreshes maxP and
+// the upward term count.
 func (e *Engine) selectDegrees() {
 	var sel *bounds.DegreeSelector
 	if e.cfg.Adaptive {
@@ -273,49 +278,34 @@ func (e *Engine) selectDegrees() {
 			sel = bounds.NewDegreeSelector(e.cfg.Alpha, e.cfg.Degree, e.cfg.MaxDegree, aRef, sRef)
 		}
 	}
-	e.maxP, e.upTerms = 0, 0
-	// Pre-order: each node selects its own degree, then carries
-	// max(own, parent's carry) so its expansion is accurate enough for
-	// every ancestor's M2M.
-	var down func(n *tree.Node, carry int)
-	down = func(n *tree.Node, carry int) {
+	e.maxP = 0
+	e.Tree.Walk(func(n *tree.Node) {
 		if sel != nil {
 			n.Degree = sel.Degree(n.AbsCharge, n.Size())
 		} else {
 			n.Degree = e.cfg.Degree
 		}
-		if n.Degree > carry {
-			carry = n.Degree
+		if n.Degree > e.maxP {
+			e.maxP = n.Degree
 		}
-		n.UpDegree = carry
-		if carry > e.maxP {
-			e.maxP = carry
-		}
-		if n.IsLeaf() {
-			e.upTerms += int64(n.Count()) * multipole.Terms(carry)
-		} else {
-			e.upTerms += multipole.Terms(carry)
-		}
-		for _, c := range n.Children {
-			down(c, carry)
-		}
-	}
-	down(e.Tree.Root, 0)
+	})
 	if sel != nil {
 		// Surface silent accuracy loss: selections stopped at the Legendre
 		// stability cap show up in the metrics instead of vanishing.
 		e.cfg.Obs.AddDegreeClamps(sel.ClampCount())
 	}
+	e.upTerms = e.costs.run(e.Tree, e.maxP)
 }
 
-// Upward runs the upward multipole pass (P2M at leaves, M2M to parents)
-// level-synchronized on the work-stealing pool: all nodes of the deepest
-// level first, so every M2M reads fully-built children. Each worker carries
-// one spherical-harmonics scratch buffer; per-node arithmetic (own range in
-// tree order, children in fixed order) never depends on the schedule, so
-// the expansions are bitwise identical at any worker count. New runs it
-// once; it is exported so recharge paths and benchmarks can rerun it after
-// charges change.
+// Upward runs the upward multipole pass level-synchronized on the
+// work-stealing pool: all nodes of the deepest level first, so every M2M
+// reads fully-built children. Each node is built the way the cost pass
+// chose — P2M over its own range or M2M from its children — at its stored
+// degree. Each worker carries one spherical-harmonics scratch buffer;
+// per-node arithmetic (own range in tree order, children in fixed order)
+// never depends on the schedule, so the expansions are bitwise identical
+// at any worker count. New runs it once; it is exported so recharge paths
+// and benchmarks can rerun it after charges change.
 func (e *Engine) Upward() {
 	sp := e.cfg.Obs.Start(e.spUpward)
 	defer sp.End()
@@ -328,28 +318,38 @@ func (e *Engine) upward() {
 		func() []complex128 { return make([]complex128, harmonics.Len(e.maxP)) },
 		func(n *tree.Node, buf []complex128) {
 			p := n.UpDegree
-			if n.Mp == nil || n.Mp.Degree != p {
+			if n.Mp == nil || cap(n.Mp.Coeff) < harmonics.Len(p) {
 				n.Mp = multipole.NewExpansion(n.Center, p)
 			} else {
-				// Recharge/refit path: same degree, reuse the coefficient
-				// storage instead of reallocating. Clear keeps the old
-				// center, and a refit may have moved the node's, so
-				// re-anchor explicitly.
+				// Recharge/refit path: reuse the coefficient storage
+				// instead of reallocating, also when a re-plan lowered the
+				// stored degree. Clear keeps the old center, and a refit
+				// may have moved the node's, so re-anchor explicitly.
+				n.Mp.Degree, n.Mp.Coeff = p, n.Mp.Coeff[:harmonics.Len(p)]
 				n.Mp.Clear()
 				n.Mp.Center = n.Center
 			}
-			if n.IsLeaf() {
+			if n.UpDirect {
 				for i := n.Start; i < n.End; i++ {
 					n.Mp.AddParticleAt(t.Pos[i], t.Q[i], buf[:harmonics.Len(p)])
 				}
-				return
+				if !n.IsLeaf() {
+					// Sum A over the children as M2M does, so a node's
+					// Theorem 1 charge has the same bits on either path.
+					var a float64
+					for _, c := range n.Children {
+						a += c.Mp.AbsCharge
+					}
+					n.Mp.AbsCharge = a
+				}
+			} else {
+				for _, c := range n.Children {
+					n.Mp.AccumulateTranslatedBuf(c.Mp, buf[:harmonics.Len(p)])
+				}
 			}
-			for _, c := range n.Children {
-				n.Mp.AccumulateTranslatedBuf(c.Mp, buf[:harmonics.Len(p)])
-			}
-			// The translated radius estimate (child radius + shift) can
-			// overshoot the true cluster radius; the tree's exact value is
-			// available, so keep the tighter of the two.
+			// M2M's translated radius (child radius + shift) can overshoot
+			// the true cluster radius, and after a refit the tree's radius
+			// is the conservative one; keep the tighter of the two.
 			if n.Radius < n.Mp.Radius {
 				n.Mp.Radius = n.Radius
 			}

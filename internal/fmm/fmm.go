@@ -6,9 +6,9 @@
 // The algorithm is the dual-tree-traversal formulation, which works
 // unchanged on adaptive (non-uniform) trees:
 //
-//	upward:   P2M at leaves, M2M to ancestors (expansions carried at the
-//	          maximum degree an ancestor needs; internal/engine, shared
-//	          with the treecode).
+//	upward:   each node's expansion built by P2M over its particles or
+//	          M2M from its children, whichever the engine's cost pass
+//	          finds cheaper (internal/engine, shared with the treecode).
 //	traverse: recursively pair source and target nodes. Well-separated
 //	          pairs (rA + rB <= alpha * d) convert the source multipole to
 //	          a local expansion of the target (M2L); inseparable leaf
@@ -19,7 +19,9 @@
 //
 // Degrees follow the evaluator's method: a fixed p for Original, the
 // Theorem 3 per-cluster degree for Adaptive. Local expansions use the
-// target node's degree; M2L consumes the full source expansion.
+// target node's degree; M2L reads the source expansion up to the source
+// node's own degree, whatever degree the engine stored it at, so the work
+// matches Stats.M2LTerms.
 package fmm
 
 import (
@@ -276,7 +278,7 @@ func (s *sweep) runM2L() {
 		a := targets[i]
 		la := multipole.NewLocal(a.Center, a.Degree)
 		for _, b := range s.m2lTasks[a] {
-			la.Add(b.Mp.M2L(a.Center, la.Degree))
+			la.Add(b.Mp.M2L(a.Center, b.Degree, la.Degree))
 		}
 		mu.Lock()
 		s.locals[a] = la

@@ -79,7 +79,7 @@ func (e *Evaluator) PotentialsAt(targets []vec.V3) ([]float64, *Stats, error) {
 		}
 		la := multipole.NewLocal(a.Center, p)
 		for _, b := range m2l[a] {
-			la.Add(b.Mp.M2L(a.Center, p))
+			la.Add(b.Mp.M2L(a.Center, b.Degree, p))
 		}
 		localsMu.Lock()
 		locals[a] = la

@@ -95,26 +95,12 @@ func P2M(pos []vec.V3, q []float64, center vec.V3, p int) *Expansion {
 	return e
 }
 
-// Translate shifts the expansion to a new center (M2M), producing a degree
-// pOut expansion. M2M is exact when pOut <= e.Degree: the translated
-// coefficients equal those of a direct P2M about the new center.
-func (e *Expansion) Translate(newCenter vec.V3, pOut int) *Expansion {
-	out := NewExpansion(newCenter, pOut)
-	out.AccumulateTranslated(e)
-	return out
-}
-
-// AccumulateTranslated adds src, re-centered onto e.Center, into e (the
-// M2M accumulation of the upward pass). The result is exact for the degrees
-// e keeps as long as src.Degree >= e.Degree. Cluster statistics are merged:
-// charges add, and the radius becomes an upper bound covering both clusters.
-func (e *Expansion) AccumulateTranslated(src *Expansion) {
-	e.AccumulateTranslatedBuf(src, nil)
-}
-
-// AccumulateTranslatedBuf is AccumulateTranslated with a caller-provided
-// scratch buffer of length >= harmonics.Len(e.Degree) (nil allocates).
-// Useful in upward passes that translate many children per scratch.
+// AccumulateTranslatedBuf adds src, re-centered onto e.Center, into e (the
+// M2M accumulation of the upward pass), using a caller-provided scratch
+// buffer of length >= harmonics.Len(e.Degree) (nil allocates). The result
+// is exact for the degrees e keeps as long as src.Degree >= e.Degree.
+// Cluster statistics are merged: charges add, and the radius becomes an
+// upper bound covering both clusters.
 func (e *Expansion) AccumulateTranslatedBuf(src *Expansion, buf []complex128) {
 	t := src.Center.Sub(e.Center)
 	rt := harmonics.Regular(buf, t, e.Degree)
@@ -152,23 +138,6 @@ func (e *Expansion) EvaluatePrefix(x vec.V3, p int, buf []complex128) float64 {
 // expansion at point x with degree p.
 func (e *Expansion) BoundAt(x vec.V3, p int) float64 {
 	return TruncationBound(e.AbsCharge, e.Radius, x.Dist(e.Center), p)
-}
-
-// AddScaled accumulates s * src into e. Both expansions must share the same
-// center; degrees may differ (missing higher-degree terms are treated as 0).
-func (e *Expansion) AddScaled(src *Expansion, s float64) {
-	sc := complex(s, 0)
-	n := len(src.Coeff)
-	if len(e.Coeff) < n {
-		n = len(e.Coeff)
-	}
-	for i := 0; i < n; i++ {
-		e.Coeff[i] += sc * src.Coeff[i]
-	}
-	e.AbsCharge += math.Abs(s) * src.AbsCharge
-	if src.Radius > e.Radius {
-		e.Radius = src.Radius
-	}
 }
 
 // Evaluate computes the potential at x from the expansion (M2P), using terms
@@ -393,13 +362,17 @@ func (l *Local) Clear() {
 	}
 }
 
-// M2L converts a multipole expansion into a degree-pOut local expansion
-// about center. The two centers must be well separated: |center-e.Center|
-// greater than the cluster radius plus the evaluation radius.
-func (e *Expansion) M2L(center vec.V3, pOut int) *Local {
+// M2L converts the multipole expansion, truncated at source degree pIn
+// (clamped to e.Degree), into a degree-pOut local expansion about center.
+// The two centers must be well separated: |center-e.Center| greater than
+// the cluster radius plus the evaluation radius.
+func (e *Expansion) M2L(center vec.V3, pIn, pOut int) *Local {
+	if pIn > e.Degree {
+		pIn = e.Degree
+	}
 	l := NewLocal(center, pOut)
 	t := center.Sub(e.Center)
-	st := harmonics.Irregular(nil, t, pOut+e.Degree)
+	st := harmonics.Irregular(nil, t, pOut+pIn)
 	for j := 0; j <= pOut; j++ {
 		sign := 1.0
 		if j%2 == 1 {
@@ -407,10 +380,10 @@ func (e *Expansion) M2L(center vec.V3, pOut int) *Local {
 		}
 		for k := 0; k <= j; k++ {
 			var sum complex128
-			for n := 0; n <= e.Degree; n++ {
+			for n := 0; n <= pIn; n++ {
 				for m := -n; m <= n; m++ {
 					sum += harmonics.Get(e.Coeff, e.Degree, n, m) *
-						harmonics.Get(st, pOut+e.Degree, j+n, k+m)
+						harmonics.Get(st, pOut+pIn, j+n, k+m)
 				}
 			}
 			l.Coeff[harmonics.Idx(j, k)] = complex(sign, 0) * sum

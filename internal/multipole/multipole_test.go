@@ -118,7 +118,8 @@ func TestM2MExact(t *testing.T) {
 		c2 := c1.Add(vec.V3{X: 0.5 * rng.NormFloat64(), Y: 0.5 * rng.NormFloat64(), Z: 0.5 * rng.NormFloat64()})
 		pos, q := randomCluster(rng, 25, c1, 0.3)
 		e1 := P2M(pos, q, c1, p)
-		moved := e1.Translate(c2, p)
+		moved := NewExpansion(c2, p)
+		moved.AccumulateTranslatedBuf(e1, nil)
 		direct := P2M(pos, q, c2, p)
 		for i := range moved.Coeff {
 			d := moved.Coeff[i] - direct.Coeff[i]
@@ -142,7 +143,7 @@ func TestM2LAgainstDirect(t *testing.T) {
 	pos, q := randomCluster(rng, 40, srcCenter, 0.5)
 	e := P2M(pos, q, srcCenter, p)
 	locCenter := vec.V3{X: 3, Y: 0.5, Z: -1}
-	l := e.M2L(locCenter, p)
+	l := e.M2L(locCenter, p, p)
 	for i := 0; i < 100; i++ {
 		x := locCenter.Add(vec.V3{
 			X: 0.3 * (2*rng.Float64() - 1),
@@ -157,13 +158,40 @@ func TestM2LAgainstDirect(t *testing.T) {
 	}
 }
 
+// M2L at source degree pIn reads only the coefficients up to pIn: it
+// equals the M2L of the same cluster expanded at pIn.
+func TestM2LSourceDegree(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	pos, q := randomCluster(rng, 40, vec.V3{}, 0.5)
+	hi := P2M(pos, q, vec.V3{}, 12)
+	z := vec.V3{X: 3, Y: 0.5, Z: -1}
+	for _, pIn := range []int{0, 3, 7, 12} {
+		lo := P2M(pos, q, vec.V3{}, pIn)
+		got, want := hi.M2L(z, pIn, 9), lo.M2L(z, pIn, 9)
+		for i := range want.Coeff {
+			d := got.Coeff[i] - want.Coeff[i]
+			if math.Hypot(real(d), imag(d)) > 1e-12*(1+math.Hypot(real(want.Coeff[i]), imag(want.Coeff[i]))) {
+				t.Fatalf("pIn %d: coefficient %d %v vs %v", pIn, i, got.Coeff[i], want.Coeff[i])
+			}
+		}
+	}
+	// A source degree above the expansion's own clamps to it.
+	e6 := P2M(pos, q, vec.V3{}, 6)
+	a, b := e6.M2L(z, 100, 6), e6.M2L(z, 6, 6)
+	for i := range a.Coeff {
+		if a.Coeff[i] != b.Coeff[i] {
+			t.Fatalf("clamped source degree: coefficient %d %v vs %v", i, a.Coeff[i], b.Coeff[i])
+		}
+	}
+}
+
 func TestL2LExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	const p = 10
 	pos, q := randomCluster(rng, 40, vec.V3{}, 0.5)
 	e := P2M(pos, q, vec.V3{}, 2*p)
 	z1 := vec.V3{X: 4, Y: 1, Z: 2}
-	l1 := e.M2L(z1, p)
+	l1 := e.M2L(z1, 2*p, p)
 	z2 := z1.Add(vec.V3{X: 0.2, Y: -0.1, Z: 0.15})
 	l2 := l1.Translate(z2, p)
 	// L2L of the truncated series is exact as a polynomial identity for the
@@ -245,7 +273,7 @@ func TestL2PFieldAgainstDirect(t *testing.T) {
 	pos, q := randomCluster(rng, 30, vec.V3{}, 0.5)
 	e := P2M(pos, q, vec.V3{}, 20)
 	z := vec.V3{X: 3, Y: -1, Z: 2}
-	l := e.M2L(z, 20)
+	l := e.M2L(z, 20, 20)
 	for i := 0; i < 50; i++ {
 		x := z.Add(vec.V3{
 			X: 0.3 * (2*rng.Float64() - 1),
@@ -279,21 +307,6 @@ func TestEvaluateDegreeClamp(t *testing.T) {
 	}
 	if got, want := e.Evaluate(x, 0), Q/x.Norm(); math.Abs(got-want) > 1e-12*(1+math.Abs(want)) {
 		t.Errorf("monopole term: %v vs %v", got, want)
-	}
-}
-
-func TestAddScaled(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	pos, q := randomCluster(rng, 20, vec.V3{}, 0.3)
-	e1 := P2M(pos, q, vec.V3{}, 8)
-	e2 := NewExpansion(vec.V3{}, 8)
-	e2.AddScaled(e1, 2)
-	x := vec.V3{X: 1.5, Y: 0.5, Z: -0.5}
-	if got, want := e2.Evaluate(x, 8), 2*e1.Evaluate(x, 8); math.Abs(got-want) > 1e-12*(1+math.Abs(want)) {
-		t.Errorf("AddScaled: %v vs %v", got, want)
-	}
-	if math.Abs(e2.AbsCharge-2*e1.AbsCharge) > 1e-12 {
-		t.Error("AddScaled AbsCharge")
 	}
 }
 
@@ -387,6 +400,6 @@ func BenchmarkM2L(b *testing.B) {
 	e := P2M(pos, q, vec.V3{}, 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.M2L(vec.V3{X: 3, Y: 1, Z: 2}, 8)
+		e.M2L(vec.V3{X: 3, Y: 1, Z: 2}, 8, 8)
 	}
 }

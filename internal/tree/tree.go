@@ -55,8 +55,13 @@ type Node struct {
 	Centroid vec.V3
 	BRadius  float64
 
-	Degree   int                  // multipole degree selected by the evaluator
-	UpDegree int                  // degree Mp is carried at: max(Degree, parent's UpDegree)
+	Degree int // multipole degree selected by the evaluator
+	// UpDegree is the degree Mp is stored at (>= Degree), and UpDirect
+	// says how the upward pass builds it: by direct P2M over [Start, End)
+	// (always for leaves), or else by M2M from children all stored at
+	// UpDegree or above. The evaluator's upward cost pass sets both.
+	UpDegree int
+	UpDirect bool
 	Mp       *multipole.Expansion // filled by the evaluator's upward pass
 
 	// Drift and shape bookkeeping for cached interaction plans (the
