@@ -337,27 +337,25 @@ func BenchmarkUpward(b *testing.B) {
 }
 
 // BenchmarkRecharge times SetCharges — the per-GMRES-iteration cost of the
-// BEM solver — for both evaluation modes at 1, 4, and 8 workers.
+// BEM solver — at 1, 4, and 8 workers.
 func BenchmarkRecharge(b *testing.B) {
 	set := constructionSet(b)
 	q := make([]float64, set.N())
 	for i, p := range set.Particles {
 		q[i] = 1.1 * p.Charge
 	}
-	for _, mode := range []core.EvalMode{core.EvalWalk, core.EvalBatched} {
-		for _, w := range []int{1, 4, 8} {
-			b.Run(fmt.Sprintf("%s/workers=%d", mode, w), func(b *testing.B) {
-				e, err := core.New(set, core.Config{Method: core.Adaptive, Alpha: 0.5, Degree: 4, Workers: w, Eval: mode})
-				if err != nil {
+	for _, w := range []int{1, 4, 8} {
+		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+			e, err := core.New(set, core.Config{Method: core.Adaptive, Alpha: 0.5, Degree: 4, Workers: w})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := e.SetCharges(q); err != nil {
 					b.Fatal(err)
 				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := e.SetCharges(q); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }

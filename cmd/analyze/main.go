@@ -31,7 +31,6 @@ func main() {
 	dist := flag.String("dist", "uniform", "distribution")
 	n := flag.Int("n", 20000, "particles")
 	method := flag.String("method", "adaptive", "original|adaptive")
-	eval := flag.String("eval", "walk", "evaluation mode: walk|batched")
 	degree := flag.Int("degree", 4, "degree / adaptive minimum")
 	alpha := flag.Float64("alpha", 0.5, "acceptance parameter")
 	stride := flag.Int("stride", 37, "profile every stride-th particle")
@@ -44,12 +43,7 @@ func main() {
 	if *method == "adaptive" {
 		m = core.Adaptive
 	}
-	ev, err := core.ParseEvalMode(*eval)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	cfg := core.Config{Method: m, Eval: ev, Degree: *degree, Alpha: *alpha}
+	cfg := core.Config{Method: m, Degree: *degree, Alpha: *alpha}
 	ob.Force = *obsOn // -obs prints the census even without an export flag
 	col, err := ob.Start("treecode.analyze")
 	if err != nil {

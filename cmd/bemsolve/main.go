@@ -30,15 +30,9 @@ func main() {
 	restart := flag.Int("restart", 10, "GMRES restart (paper: 10)")
 	precond := flag.Bool("precond", false, "use the near-field block-Jacobi preconditioner")
 	blockSize := flag.Int("block", 48, "preconditioner block size")
-	evalStr := flag.String("eval", "walk", "evaluation mode for treecode products: walk or batched")
 	ob := cliio.ObsFlagVars()
 	flag.Parse()
 
-	evalMode, err := core.ParseEvalMode(*evalStr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
 	if err := (core.Config{Degree: *degree, Alpha: *alpha}).Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -61,10 +55,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "unknown surface:", *surface)
 		os.Exit(1)
 	}
-	fmt.Printf("%s: %d elements, %d nodes (%d unknowns), eval=%s\n",
-		*surface, m.NumTris(), m.NumVerts(), m.NumVerts(), evalMode)
+	fmt.Printf("%s: %d elements, %d nodes (%d unknowns)\n",
+		*surface, m.NumTris(), m.NumVerts(), m.NumVerts())
 
-	op, err := bem.New(m, *quad, &core.Config{Method: core.Adaptive, Degree: *degree, Alpha: *alpha, Eval: evalMode, Obs: col})
+	op, err := bem.New(m, *quad, &core.Config{Method: core.Adaptive, Degree: *degree, Alpha: *alpha, Obs: col})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

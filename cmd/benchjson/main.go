@@ -1,13 +1,10 @@
-// Command benchjson records the walk-vs-batched benchmark trajectory as a
+// Command benchjson records the evaluator's benchmark trajectory as a
 // machine-readable JSON document (BENCH_treecode.json at the repo root).
-// For every (distribution, n, workers, eval mode) cell it builds the same
-// evaluator, times repeated potential evaluations, and reports the paper's
-// cost counters next to the wall-clock numbers; per (distribution, n,
-// workers) pair it derives the batched-over-walk speedup and the relative
-// drift between the two modes (which share the exact same interaction set,
-// so the drift is pure summation-order roundoff). For sizes up to -maxdirect
-// it also measures the true relative error and the Theorem 2 bound sum
-// against O(n^2) direct summation. A separate builds section records the
+// For every (distribution, n, workers) cell it builds an evaluator, times
+// repeated potential evaluations, and reports the paper's cost counters
+// next to the wall-clock numbers. For sizes up to -maxdirect it also
+// measures the true relative error and the Theorem 2 bound sum against
+// O(n^2) direct summation. A separate builds section records the
 // construction pipeline's phase timings (tree build, degree selection,
 // upward pass, identity recharge) per worker count for both tree
 // constructions, via the core/build, core/upward, and core/recharge obs
@@ -21,10 +18,9 @@
 // pass is identical work for both policies), refit counters, the
 // trajectory drift between the policies, and the relative gap between the
 // refit engine's potentials and a fresh build at the same final positions
-// next to its Theorem 2 budget. Steps run in batched eval mode by default
-// (-stepeval) so the persistent interaction-plan cache is exercised; each
-// steps entry carries the schema-v5 plan section (entry reuse fraction,
-// revalidation losses, traversal time saved).
+// next to its Theorem 2 budget. Each steps entry carries the schema-v5
+// plan section (interaction-plan entry reuse fraction, revalidation
+// losses, traversal time saved).
 //
 // A block-timestep cell (-blockrungs, -blocketa, -blockcount) additionally
 // steps the same distribution under the hierarchical block scheme — finest
@@ -64,7 +60,6 @@ import (
 // the aliases keep this file reading naturally.
 type (
 	result      = benchfmt.Result
-	pair        = benchfmt.Pair
 	buildResult = benchfmt.BuildResult
 	stepResult  = benchfmt.StepResult
 	stepPair    = benchfmt.StepPair
@@ -367,7 +362,6 @@ func main() {
 	stepN := flag.Int("stepn", 100000, "particle count for the steps section (0 disables)")
 	stepCount := flag.Int("stepcount", 10, "leapfrog steps per policy in the steps section")
 	stepDt := flag.Float64("stepdt", 1e-4, "timestep for the steps section (small enough that every update refits at the default -stepn and -stepcount)")
-	stepEval := flag.String("stepeval", "batched", "eval mode for the steps section (walk or batched; batched exercises the interaction-plan cache)")
 	blockRungs := flag.Int("blockrungs", 5, "rung count for the block-timestep steps cell (0 or 1 disables; the finest rung steps at -stepdt, so the macro step is stepdt*2^(rungs-1))")
 	blockEta := flag.Float64("blocketa", 1.0, "timestep-criterion prefactor for the block cell (dt_i = eta*sqrt(scale/|a_i|))")
 	blockCount := flag.Int("blockcount", 2, "macro steps in the block-timestep cell (0 disables)")
@@ -418,53 +412,34 @@ func main() {
 				exact = direct.SelfPotentials(set, 0)
 			}
 			for _, workers := range workerCounts {
-				var walkPhi, batchedPhi []float64
-				var walkRes, batchedRes *result
-				for _, mode := range []core.EvalMode{core.EvalWalk, core.EvalBatched} {
-					cfg := core.Config{Method: m, Alpha: *alpha, Degree: *degree, Workers: workers, Eval: mode}
-					e, err := core.New(set, cfg)
-					if err != nil {
-						fmt.Fprintln(os.Stderr, err)
-						os.Exit(1)
-					}
-					var phi []float64
-					var st *core.Stats
-					best := math.Inf(1)
-					for r := 0; r < *reps; r++ {
-						p, s := e.Potentials()
-						if ms := float64(s.EvalTime) / float64(time.Millisecond); ms < best {
-							best = ms
-						}
-						phi, st = p, s
-					}
-					res := result{
-						Dist: dist, N: n, Mode: mode.String(), Workers: workers,
-						BuildMS: float64(e.BuildTime()) / float64(time.Millisecond),
-						EvalMS:  best,
-						Terms:   st.Terms, PC: st.PC, PP: st.PP,
-						MaxDegree: st.MaxDegree, BoundSum: st.BoundSum,
-					}
-					if exact != nil {
-						re := stats.RelErr2(phi, exact)
-						res.RelErrDirect = &re
-					}
-					d.Results = append(d.Results, res)
-					if mode == core.EvalWalk {
-						walkPhi, walkRes = phi, &d.Results[len(d.Results)-1]
-					} else {
-						batchedPhi, batchedRes = phi, &d.Results[len(d.Results)-1]
-					}
-					fmt.Fprintf(os.Stderr, "%-10s n=%-7d workers=%d %-7s eval %.1f ms\n",
-						dist, n, workers, mode, best)
+				e, err := core.New(set, core.Config{Method: m, Alpha: *alpha, Degree: *degree, Workers: workers})
+				if err != nil {
+					fmt.Fprintln(os.Stderr, err)
+					os.Exit(1)
 				}
-				d.Pairs = append(d.Pairs, pair{
+				var phi []float64
+				var st *core.Stats
+				best := math.Inf(1)
+				for r := 0; r < *reps; r++ {
+					p, s := e.Potentials()
+					if ms := float64(s.EvalTime) / float64(time.Millisecond); ms < best {
+						best = ms
+					}
+					phi, st = p, s
+				}
+				res := result{
 					Dist: dist, N: n, Workers: workers,
-					Speedup:    walkRes.EvalMS / batchedRes.EvalMS,
-					RelDrift:   stats.RelErr2(batchedPhi, walkPhi),
-					WalkMS:     walkRes.EvalMS,
-					BatchedMS:  batchedRes.EvalMS,
-					BoundRatio: batchedRes.BoundSum / walkRes.BoundSum,
-				})
+					BuildMS: float64(e.BuildTime()) / float64(time.Millisecond),
+					EvalMS:  best,
+					Terms:   st.Terms, PC: st.PC, PP: st.PP,
+					MaxDegree: st.MaxDegree, BoundSum: st.BoundSum,
+				}
+				if exact != nil {
+					re := stats.RelErr2(phi, exact)
+					res.RelErrDirect = &re
+				}
+				d.Results = append(d.Results, res)
+				fmt.Fprintf(os.Stderr, "%-10s n=%-7d workers=%d eval %.1f ms\n", dist, n, workers, best)
 			}
 			for _, wStr := range splitTrim(*buildWorkers) {
 				w, err := strconv.Atoi(wStr)
@@ -487,12 +462,7 @@ func main() {
 	}
 
 	if *stepN > 0 && (*stepCount > 0 || (*blockRungs > 1 && *blockCount > 0)) {
-		stepMode, err := core.ParseEvalMode(*stepEval)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		base := core.Config{Method: m, Alpha: *alpha, Degree: *degree, Eval: stepMode}
+		base := core.Config{Method: m, Alpha: *alpha, Degree: *degree}
 		if *stepCount > 0 {
 			for _, workers := range workerCounts {
 				srs, sp, err := measureSteps(*stepDist, *stepN, workers, *stepCount, *stepDt, *seed, base)

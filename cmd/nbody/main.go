@@ -22,7 +22,6 @@ func main() {
 	dist := flag.String("dist", "uniform", "distribution: uniform|gaussian|multigauss|grid|shell|plummer")
 	n := flag.Int("n", 10000, "number of particles")
 	method := flag.String("method", "adaptive", "original|adaptive")
-	eval := flag.String("eval", "walk", "evaluation mode: walk|batched")
 	degree := flag.Int("degree", 4, "multipole degree (minimum for adaptive)")
 	alpha := flag.Float64("alpha", 0.5, "acceptance parameter")
 	leafCap := flag.Int("leaf", 8, "octree leaf capacity")
@@ -40,17 +39,12 @@ func main() {
 	if *method == "adaptive" {
 		m = core.Adaptive
 	}
-	ev, err := core.ParseEvalMode(*eval)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
 	col, err := ob.Start("treecode.nbody")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	cfg := core.Config{Method: m, Eval: ev, Degree: *degree, Alpha: *alpha, LeafCap: *leafCap, Workers: *workers, Obs: col}
+	cfg := core.Config{Method: m, Degree: *degree, Alpha: *alpha, LeafCap: *leafCap, Workers: *workers, Obs: col}
 	if err := cfg.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -118,8 +112,8 @@ func main() {
 		os.Exit(1)
 	}
 	phi, st := e.Potentials()
-	fmt.Printf("%s treecode (%s eval), %s distribution, n=%d, degree=%d, alpha=%g\n",
-		m, ev, *dist, *n, *degree, *alpha)
+	fmt.Printf("%s treecode, %s distribution, n=%d, degree=%d, alpha=%g\n",
+		m, *dist, *n, *degree, *alpha)
 	fmt.Printf("tree: height %d, %d nodes, %d leaves; build %v\n",
 		st.TreeHeight, st.TreeNodes, st.TreeLeaves, st.BuildTime)
 	fmt.Printf("eval: %v; %s terms (%d cluster, %d direct interactions); max degree %d\n",

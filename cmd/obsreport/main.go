@@ -16,8 +16,9 @@
 //	obsreport -diff BENCH_treecode.json new.json
 //
 // Cells are matched exactly on their identifying coordinates (dist, n,
-// workers, eval mode / policy); cells present in only one document are
-// ignored, but at least one cell must match. Two families of checks run:
+// workers, and the policy of steps cells); cells present in only one
+// document are ignored, but at least one cell must match. Two families of
+// checks run:
 //
 //   - Deterministic counters (interaction terms, M2P/P2P counts, direct
 //     relative error, refit/rebuild counts) are machine-independent given
@@ -212,11 +213,11 @@ type cellKey struct {
 	dist    string
 	n       int
 	workers int
-	mode    string // eval mode or rebuild policy
+	policy  string // rebuild policy of a steps cell; empty for results
 }
 
 func (k cellKey) String() string {
-	return fmt.Sprintf("%s[%s n=%d workers=%d %s]", k.section, k.dist, k.n, k.workers, k.mode)
+	return fmt.Sprintf("%s[%s n=%d workers=%d %s]", k.section, k.dist, k.n, k.workers, k.policy)
 }
 
 // diff compares next against base and returns the regressions found.
@@ -232,18 +233,20 @@ func diff(base, next *benchfmt.Doc, wallFactor, planFactor, blockFactor, relTol 
 	deterministic := base.Seed == next.Seed && base.Alpha == next.Alpha && //lint:ignore floatcmp header identity, not arithmetic: counters are comparable only under bit-identical configuration
 		base.Degree == next.Degree && base.Method == next.Method
 
+	// A pre-v7 baseline holds a walk and a batched result per cell; their
+	// counters are identical, and the later (batched) one keeps the key.
 	baseResults := map[cellKey]benchfmt.Result{}
 	for _, r := range base.Results {
-		baseResults[cellKey{"result", r.Dist, r.N, r.Workers, r.Mode}] = r
+		baseResults[cellKey{"result", r.Dist, r.N, r.Workers, ""}] = r
 	}
 	matched := 0
 	for _, r := range next.Results {
-		b, ok := baseResults[cellKey{"result", r.Dist, r.N, r.Workers, r.Mode}]
+		b, ok := baseResults[cellKey{"result", r.Dist, r.N, r.Workers, ""}]
 		if !ok {
 			continue
 		}
 		matched++
-		k := cellKey{"result", r.Dist, r.N, r.Workers, r.Mode}
+		k := cellKey{"result", r.Dist, r.N, r.Workers, ""}
 		if deterministic {
 			if r.Terms != b.Terms || r.PC != b.PC || r.PP != b.PP {
 				regs = append(regs, fmt.Sprintf("%s: interaction counters drifted: terms %d->%d pc %d->%d pp %d->%d",

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,7 +11,11 @@ import (
 
 	"treecode/internal/benchfmt"
 	"treecode/internal/cliio"
+	"treecode/internal/core"
 	"treecode/internal/obs"
+	"treecode/internal/points"
+	"treecode/internal/sim"
+	"treecode/internal/vec"
 )
 
 // sampleDoc builds a small self-consistent benchmark document.
@@ -18,9 +24,9 @@ func sampleDoc() *benchfmt.Doc {
 	return &benchfmt.Doc{
 		Schema: benchfmt.Schema, Method: "adaptive", Alpha: 0.5, Degree: 4, Seed: 42,
 		Results: []benchfmt.Result{
-			{Dist: "uniform", N: 10000, Mode: "walk", Workers: 1, EvalMS: 100,
+			{Dist: "uniform", N: 10000, Workers: 1, EvalMS: 100,
 				Terms: 123456, PC: 2000, PP: 5000, MaxDegree: 7, BoundSum: 1.25, RelErrDirect: &relErr},
-			{Dist: "uniform", N: 10000, Mode: "batched", Workers: 1, EvalMS: 60,
+			{Dist: "uniform", N: 10000, Workers: 4, EvalMS: 60,
 				Terms: 123456, PC: 2000, PP: 5000, MaxDegree: 7, BoundSum: 1.25, RelErrDirect: &relErr},
 		},
 		Steps: []benchfmt.StepResult{
@@ -297,4 +303,48 @@ func TestReadDocRejectsForeignJSON(t *testing.T) {
 	if _, err := benchfmt.ReadDoc(path); err == nil {
 		t.Fatal("foreign schema accepted as a bench document")
 	}
+}
+
+// FuzzDecodeSnapshot feeds arbitrary bytes to the obs snapshot decoder and
+// renders every snapshot it accepts: neither step may panic, and an
+// accepted snapshot carries the treecode-obs schema tag. The seed is the
+// -obsjson trace of a small three-step simulation.
+func FuzzDecodeSnapshot(f *testing.F) {
+	set, err := points.Generate(points.Plummer, 300, 1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	col := obs.New()
+	s, err := sim.New(sim.State{Set: set, Vel: make([]vec.V3, set.N())}, sim.Config{
+		Dt: 1e-3, Force: core.Config{Method: core.Adaptive, Degree: 3, Obs: col},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := s.Run(3); err != nil {
+		f.Fatal(err)
+	}
+	col.AddEvent(obs.EventRebuildFallback, "migrant-fraction", 42)
+	path := filepath.Join(f.TempDir(), "trace.json")
+	if err := obs.WriteJSON(col, path); err != nil {
+		f.Fatal(err)
+	}
+	seed, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Add([]byte(`{"schema":"treecode-obs/v1"}`))
+	f.Add([]byte(`{"schema":"something-else/v1"}`))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		snap, err := decodeSnapshot(raw)
+		if err != nil {
+			return
+		}
+		if !strings.HasPrefix(snap.Schema, "treecode-obs/") {
+			t.Fatalf("accepted schema %q", snap.Schema)
+		}
+		w := &cliio.Output{W: bufio.NewWriter(io.Discard)}
+		renderSeries(w, snap.Series.Samples, snap.Journal.Events, snap.Series.Rollup)
+	})
 }

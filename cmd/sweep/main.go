@@ -26,15 +26,8 @@ func main() {
 	unitCharge := flag.Bool("unitcharge", true, "unit charge per particle")
 	seed := flag.Int64("seed", 1, "seed")
 	out := flag.String("o", "", "output file (default stdout)")
-	evalStr := flag.String("eval", "walk", "evaluation mode: walk or batched")
 	ob := cliio.ObsFlagVars()
 	flag.Parse()
-
-	evalMode, err := core.ParseEvalMode(*evalStr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
 
 	col, err := ob.Start("treecode.sweep")
 	if err != nil {
@@ -58,7 +51,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	fmt.Fprintln(w.W, "dist,n,method,eval,degree,alpha,relerr,abserr,terms,pc,pp,maxdegree,evalms")
+	fmt.Fprintln(w.W, "dist,n,method,degree,alpha,relerr,abserr,terms,pc,pp,maxdegree,evalms")
 	for _, ns := range splitInts(*sizes) {
 		totalAbs := 1.0
 		if *unitCharge {
@@ -77,14 +70,14 @@ func main() {
 			}
 			for _, deg := range degs {
 				for _, alpha := range alphaVals {
-					e, err := core.New(set, core.Config{Method: m, Degree: deg, Alpha: alpha, Eval: evalMode, Obs: col})
+					e, err := core.New(set, core.Config{Method: m, Degree: deg, Alpha: alpha, Obs: col})
 					if err != nil {
 						fmt.Fprintln(os.Stderr, err)
 						continue
 					}
 					phi, st := e.Potentials()
-					fmt.Fprintf(w.W, "%s,%d,%s,%s,%d,%g,%s,%s,%d,%d,%d,%d,%.1f\n",
-						*dist, ns, m, evalMode, deg, alpha,
+					fmt.Fprintf(w.W, "%s,%d,%s,%d,%g,%s,%s,%d,%d,%d,%d,%.1f\n",
+						*dist, ns, m, deg, alpha,
 						stats.FormatFloat(stats.RelErr2(phi, exact)),
 						stats.FormatFloat(stats.MeanAbsErr(phi, exact)),
 						st.Terms, st.PC, st.PP, st.MaxDegree,

@@ -44,8 +44,10 @@ func main() {
 	flag.Parse()
 
 	if err := (core.Config{Degree: *degree, Alpha: *alpha, RefQuantile: *refq}).Validate(); err != nil {
-		fmt.Println(err)
-		return
+		fatal(err)
+	}
+	if *sample <= 0 {
+		fatal(fmt.Errorf("reference sample size must be positive, got %d", *sample))
 	}
 	var col *obs.Collector // nil keeps the evaluators uninstrumented
 	if *obsJSON != "" {
@@ -61,13 +63,11 @@ func main() {
 		for _, s := range strings.Split(*sizes, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(s))
 			if err != nil {
-				fmt.Println("bad size:", s)
-				continue
+				fatal(fmt.Errorf("bad size %q: %w", s, err))
 			}
 			r, err := runCase(dist, n, *degree, *alpha, *seed, *sample, *exactMax, *refq, col)
 			if err != nil {
-				fmt.Println("error:", err)
-				continue
+				fatal(err)
 			}
 			tb.AddRow(n, r.absO, r.absA, r.relO, r.relA,
 				stats.FormatCount(r.termsO), stats.FormatCount(r.termsA),
@@ -77,10 +77,15 @@ func main() {
 	}
 	if *obsJSON != "" {
 		if err := obs.WriteJSON(col, *obsJSON); err != nil {
-			fmt.Fprintln(os.Stderr, "table1: writing obs trace:", err)
-			os.Exit(1)
+			fatal(fmt.Errorf("writing obs trace: %w", err))
 		}
 	}
+}
+
+// fatal reports err on stderr and exits with status 1.
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "table1:", err)
+	os.Exit(1)
 }
 
 type result struct {
@@ -116,6 +121,7 @@ func runCase(dist points.Distribution, n, degree int, alpha float64, seed int64,
 	}
 	// Sampled reference.
 	rng := rand.New(rand.NewSource(seed + 7))
+	sample = min(sample, n)
 	idx := rng.Perm(n)[:sample]
 	var numO, numA, den, sumO, sumA float64
 	for _, i := range idx {

@@ -3,15 +3,17 @@
 // workloads — uniform40k and non-uniform46k — on a 32-processor machine.
 //
 // The original experiment ran POSIX threads on a 32-CPU SGI Origin 2000.
-// This reproduction (a) runs the real goroutine-parallel evaluator (same
-// code path the paper parallelizes: independent per-particle traversals in
-// proximity order, aggregated in chunks of w) and reports measured wall-
-// clock times for the available cores, and (b) reproduces the 32-processor
-// numbers with the deterministic cost simulator: per-chunk work from
-// measured interaction counts, costzones placement, and a communication
-// term for non-local multipole series — longer series for the improved
-// method, hence its slightly lower speedups, exactly the paper's
-// observation.
+// This reproduction (a) runs the real goroutine-parallel evaluator and
+// reports measured wall-clock times for the available cores — its work
+// units are target leaves, the proximity-ordered groups of particles whose
+// traversals it batches, balanced by work stealing — and (b) reproduces
+// the 32-processor numbers with the deterministic cost simulator, which
+// models the paper's own decomposition: independent per-particle
+// traversals in proximity order, aggregated in chunks of -w particles,
+// with per-chunk work from measured interaction counts, costzones
+// placement, and a communication term for non-local multipole series —
+// longer series for the improved method, hence its slightly lower
+// speedups, exactly the paper's observation.
 package main
 
 import (
@@ -31,22 +33,21 @@ func main() {
 	nUniform := flag.Int("uniform", 40000, "uniform workload size (paper: 40k)")
 	nGauss := flag.Int("nonuniform", 46000, "non-uniform workload size (paper: 46k)")
 	degree := flag.Int("degree", 4, "fixed degree / adaptive minimum degree")
-	eval := flag.String("eval", "walk", "evaluation mode for measured runs: walk|batched")
 	alpha := flag.Float64("alpha", 0.5, "acceptance parameter")
 	procs := flag.Int("procs", 32, "simulated processor count")
-	w := flag.Int("w", 64, "particles per chunk")
+	w := flag.Int("w", 64, "particles per chunk of the simulated decomposition (0 means 64)")
 	seed := flag.Int64("seed", 1, "workload seed")
 	obsJSON := flag.String("obsjson", "", "write the obs trace as JSON to FILE (- for stdout)")
 	flag.Parse()
 
-	ev, err := core.ParseEvalMode(*eval)
-	if err != nil {
-		fmt.Println("error:", err)
-		return
+	if err := (core.Config{Degree: *degree, Alpha: *alpha}).Validate(); err != nil {
+		fatal(err)
 	}
-	if err := (core.Config{Degree: *degree, Alpha: *alpha, ChunkSize: *w, Eval: ev}).Validate(); err != nil {
-		fmt.Println("error:", err)
-		return
+	if *w < 0 {
+		fatal(fmt.Errorf("negative chunk size -w %d", *w))
+	}
+	if *procs <= 0 {
+		fatal(fmt.Errorf("simulated processor count -procs must be positive, got %d", *procs))
 	}
 	var col *obs.Collector // nil keeps the runs uninstrumented
 	if *obsJSON != "" {
@@ -70,20 +71,17 @@ func main() {
 	for _, wl := range cases {
 		set, err := points.Generate(wl.dist, wl.n, *seed)
 		if err != nil {
-			fmt.Println("error:", err)
-			return
+			fatal(err)
 		}
 		for _, method := range []core.Method{core.Original, core.Adaptive} {
-			e, err := core.New(set, core.Config{Method: method, Eval: ev, Degree: *degree, Alpha: *alpha, ChunkSize: *w})
+			e, err := core.New(set, core.Config{Method: method, Degree: *degree, Alpha: *alpha})
 			if err != nil {
-				fmt.Println("error:", err)
-				return
+				fatal(err)
 			}
 			serial := parallel.MeasureTraced(e, 1, col).Seconds()
 			rep, err := parallel.SimulateTraced(e, *procs, *w, parallel.Static, parallel.CostModel{}, col)
 			if err != nil {
-				fmt.Println("error:", err)
-				return
+				fatal(err)
 			}
 			// Simulated parallel wall-clock: serial measured time scaled by
 			// the simulated speedup.
@@ -97,12 +95,14 @@ func main() {
 	fmt.Println("Real goroutine scaling on this host (measured):")
 	tb2 := stats.NewTable("Problem", "Method", "Workers", "Time(s)")
 	for _, wl := range cases {
-		set, _ := points.Generate(wl.dist, wl.n, *seed)
+		set, err := points.Generate(wl.dist, wl.n, *seed)
+		if err != nil {
+			fatal(err)
+		}
 		for _, method := range []core.Method{core.Original, core.Adaptive} {
-			e, err := core.New(set, core.Config{Method: method, Eval: ev, Degree: *degree, Alpha: *alpha, ChunkSize: *w})
+			e, err := core.New(set, core.Config{Method: method, Degree: *degree, Alpha: *alpha})
 			if err != nil {
-				fmt.Println("error:", err)
-				return
+				fatal(err)
 			}
 			workerCounts := []int{1}
 			if runtime.NumCPU() > 1 {
@@ -116,8 +116,13 @@ func main() {
 	fmt.Println(tb2)
 	if *obsJSON != "" {
 		if err := obs.WriteJSON(col, *obsJSON); err != nil {
-			fmt.Fprintln(os.Stderr, "table2: writing obs trace:", err)
-			os.Exit(1)
+			fatal(fmt.Errorf("writing obs trace: %w", err))
 		}
 	}
+}
+
+// fatal reports err on stderr and exits with status 1.
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "table2:", err)
+	os.Exit(1)
 }

@@ -36,8 +36,7 @@ func main() {
 	flag.Parse()
 
 	if err := (core.Config{Degree: *refDegree, Alpha: *alpha}).Validate(); err != nil {
-		fmt.Println("error:", err)
-		return
+		fatal(err)
 	}
 	var col *obs.Collector // nil keeps the operators uninstrumented
 	if *obsJSON != "" {
@@ -60,8 +59,7 @@ func main() {
 		// Reference product: degree-9 original method (as in the paper).
 		refOp, err := bem.New(c.m, *quad, &core.Config{Method: core.Original, Degree: *refDegree, Alpha: *alpha})
 		if err != nil {
-			fmt.Println("error:", err)
-			return
+			fatal(err)
 		}
 		n := c.m.NumVerts()
 		src := make([]float64, n)
@@ -71,8 +69,7 @@ func main() {
 		ref := make([]float64, n)
 		start := time.Now()
 		if _, err := refOp.TreeApply(ref, src); err != nil {
-			fmt.Println("error:", err)
-			return
+			fatal(err)
 		}
 		refTime := time.Since(start).Seconds()
 
@@ -92,15 +89,13 @@ func main() {
 			for _, p := range []int{2, 3, 4, 5} {
 				op, err := bem.New(c.m, *quad, &core.Config{Method: method, Degree: p, Alpha: *alpha, Obs: col})
 				if err != nil {
-					fmt.Println("error:", err)
-					return
+					fatal(err)
 				}
 				dst := make([]float64, n)
 				start := time.Now()
 				st, err := op.TreeApply(dst, src)
 				if err != nil {
-					fmt.Println("error:", err)
-					return
+					fatal(err)
 				}
 				tb.AddRow(method.String(), p, stats.RelErr2(dst, ref),
 					time.Since(start).Seconds(), stats.FormatCount(st.Terms))
@@ -112,8 +107,7 @@ func main() {
 		if *gmres {
 			op, err := bem.New(c.m, *quad, &core.Config{Method: core.Adaptive, Degree: 5, Alpha: *alpha})
 			if err != nil {
-				fmt.Println("error:", err)
-				return
+				fatal(err)
 			}
 			b := make([]float64, n)
 			for i := range b {
@@ -121,8 +115,7 @@ func main() {
 			}
 			bj, err := op.BlockPreconditioner(48)
 			if err != nil {
-				fmt.Println("error:", err)
-				return
+				fatal(err)
 			}
 			x := make([]float64, n)
 			start := time.Now()
@@ -130,8 +123,7 @@ func main() {
 				Restart: 10, MaxIters: 300, Tol: 1e-6, Precond: bj,
 			})
 			if err != nil {
-				fmt.Println("error:", err)
-				return
+				fatal(err)
 			}
 			fmt.Printf("GMRES(10)+block-precond on V*sigma=1: %d products, residual %s, converged=%v, %.2fs\n\n",
 				res.Iterations, stats.FormatFloat(res.Residual), res.Converged, time.Since(start).Seconds())
@@ -139,8 +131,13 @@ func main() {
 	}
 	if *obsJSON != "" {
 		if err := obs.WriteJSON(col, *obsJSON); err != nil {
-			fmt.Fprintln(os.Stderr, "table3: writing obs trace:", err)
-			os.Exit(1)
+			fatal(fmt.Errorf("writing obs trace: %w", err))
 		}
 	}
+}
+
+// fatal reports err on stderr and exits with status 1.
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "table3:", err)
+	os.Exit(1)
 }

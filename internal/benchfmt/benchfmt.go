@@ -23,14 +23,15 @@ import (
 // (interaction-plan cache reuse and traversal savings); v6 adds the
 // optional per-steps-entry Block section (hierarchical block-timestep rung
 // occupancy, force-eval savings, and the extended per-rung error
-// accounting) — optional because global-dt cells have no rung structure.
-const Schema = "treecode-bench/v6"
+// accounting) — optional because global-dt cells have no rung structure;
+// v7 drops the walk cells, each result's eval mode and the walk-vs-batched
+// pairs section, since the leaf-batched traversal is the only one.
+const Schema = "treecode-bench/v7"
 
-// Result is one (distribution, n, workers, eval mode) evaluation cell.
+// Result is one (distribution, n, workers) evaluation cell.
 type Result struct {
 	Dist      string  `json:"dist"`
 	N         int     `json:"n"`
-	Mode      string  `json:"mode"`
 	Workers   int     `json:"workers"`
 	BuildMS   float64 `json:"build_ms"`
 	EvalMS    float64 `json:"eval_ms"` // best of -reps
@@ -42,19 +43,6 @@ type Result struct {
 	// RelErrDirect is the relative 2-norm error against direct summation,
 	// present only when n <= -maxdirect.
 	RelErrDirect *float64 `json:"rel_err_direct,omitempty"`
-}
-
-// Pair derives the batched-over-walk comparison of one (dist, n, workers)
-// cell.
-type Pair struct {
-	Dist       string  `json:"dist"`
-	N          int     `json:"n"`
-	Workers    int     `json:"workers"`
-	Speedup    float64 `json:"speedup_batched_over_walk"`
-	RelDrift   float64 `json:"rel_drift_batched_vs_walk"`
-	WalkMS     float64 `json:"walk_eval_ms"`
-	BatchedMS  float64 `json:"batched_eval_ms"`
-	BoundRatio float64 `json:"bound_sum_ratio"` // batched/walk; 1 up to roundoff
 }
 
 // BuildResult records the construction-pipeline phase timings of one
@@ -211,7 +199,6 @@ type Doc struct {
 	Reps       int           `json:"reps"`
 	Seed       int64         `json:"seed"`
 	Results    []Result      `json:"results"`
-	Pairs      []Pair        `json:"pairs"`
 	Builds     []BuildResult `json:"builds"`
 	Steps      []StepResult  `json:"steps,omitempty"`
 	StepPairs  []StepPair    `json:"step_pairs,omitempty"`

@@ -1,12 +1,13 @@
 package core
 
-// Leaf-batched dual-tree evaluation (Config.Eval == EvalBatched).
+// Leaf-batched dual-tree evaluation: the one traversal behind Potentials,
+// Fields and FieldsFor.
 //
 // The per-particle walk traverses the octree once per target; with leaves of
 // c particles each, neighbouring targets repeat almost identical traversals
-// c times. The batched mode traverses once per *target leaf* instead,
-// testing the MAC conservatively against the leaf's geometric bounding
-// sphere (Centroid, BRadius):
+// c times. The leaf pass traverses once per *target leaf* instead, testing
+// the MAC conservatively against the leaf's geometric bounding sphere
+// (Centroid, BRadius):
 //
 //   - AcceptSphere (extent <= alpha*(r - rho)): every point of the sphere
 //     satisfies the per-particle criterion, so the cluster joins a shared
@@ -21,11 +22,13 @@ package core
 //     where it rejects — precisely what the walk does.
 //
 // Because the sphere tests are conservative in both directions, the
-// per-particle interaction set is *identical* to the walk's: batched mode
+// per-particle interaction set is *identical* to the walk's: the leaf pass
 // never accepts an interaction the per-particle criterion would reject
 // (Theorem 2's error budget is untouched) and never opens a node the walk
-// would accept (no extra work, only amortized traversal). The two modes
-// differ solely in summation order.
+// would accept (no extra work, only amortized traversal). The two differ
+// solely in summation order. The walk itself stays as PotentialsAt's path
+// (arbitrary targets have no leaf), as the band's descent, and, in the
+// tests, as the oracle the leaf pass is checked against.
 //
 // The traversal's outcome — the classified decision list per target leaf —
 // persists on the evaluator between calls as an interaction *plan*
@@ -33,46 +36,20 @@ package core
 // the steady-state force call pays no traversal at all. Collect runs on an
 // explicit per-worker stack (deep refined trees cannot overflow goroutine
 // stacks, and the hot path pays no call overhead), classifies from
-// mac.SphereMAC.SphereSlacks — whose signs reproduce the boolean sphere
-// tests exactly — and emits the flat DFS plan the cached evaluation
-// replays in the fresh traversal's order bitwise.
+// mac.MAC.SphereSlacks — whose signs reproduce the boolean sphere tests
+// exactly — and emits the flat DFS plan the cached evaluation replays in
+// the fresh traversal's order bitwise.
 //
 // Leaf tasks are wildly uneven for clustered distributions, so they are
-// balanced by the work-stealing scheduler in internal/sched rather than the
-// static chunk slicing the walk uses. Results are independent of the
-// schedule bitwise: each particle's contributions are summed in the
-// deterministic per-leaf list order, whichever worker runs the leaf.
+// balanced by the work-stealing scheduler in internal/sched. Results are
+// independent of the schedule bitwise: each particle's contributions are
+// summed in the deterministic per-leaf list order, whichever worker runs
+// the leaf.
 
 import (
-	"runtime"
-	"sync"
-
-	"treecode/internal/mac"
-	"treecode/internal/obs"
-	"treecode/internal/sched"
 	"treecode/internal/tree"
 	"treecode/internal/vec"
 )
-
-// batchWorker extends the walk worker with the conservative MAC and the
-// plan-traversal scratch. stack and scratch are reused across leaf tasks
-// (truncated, never reallocated once grown), so steady-state leaf
-// processing performs no allocations.
-type batchWorker struct {
-	worker
-	smac mac.SphereMAC
-	// active is the per-particle target mask of a FieldsFor evaluation
-	// (original index order); nil means every particle is a target.
-	active []bool
-	// stack backs the explicit-DFS collect; scratch receives repaired
-	// plans (swapped with the plan's old backing array afterwards).
-	stack   []planFrame
-	scratch []planEntry
-	// Refinement-band tallies for the current leaf, flushed to the shard
-	// once per leaf.
-	refChecks  int64
-	refAccepts int64
-}
 
 // planFrame is one explicit-stack slot of collect: a node still to
 // classify, or — when n is nil — a close marker patching the span of the
@@ -80,54 +57,6 @@ type batchWorker struct {
 type planFrame struct {
 	n     *tree.Node
 	patch int32
-}
-
-// batched drives one batched evaluation into phi (and field, for a field
-// evaluation): leaf tasks over the work-stealing scheduler, one batchWorker
-// per goroutine, stats and shards merged exactly as parallelChunks does,
-// plus the pool's steal count folded into the batch metrics. With an
-// active mask (original indices; nil means every particle) only leaves
-// holding an active particle become tasks, and the workers skip inactive
-// particles: leaves absent from the task list are never touched, so their
-// cached plans stay exactly as the last pass left them. Each task writes
-// only its own plan slot, so plan builds and repairs race nothing.
-func (e *Evaluator) batched(active []bool, workers int, parent *obs.Span, stats *Stats, phi []float64, field []vec.V3) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	e.ensurePlans()
-	smac := e.Cfg.MAC.(mac.SphereMAC) // Validate guarantees the assertion
-	var tasks []int
-	if active != nil {
-		tasks = make([]int, 0, len(e.leaves))
-		for li, leaf := range e.leaves {
-			for i := leaf.Start; i < leaf.End; i++ {
-				if active[e.Tree.Perm[i]] {
-					tasks = append(tasks, li)
-					break
-				}
-			}
-		}
-	}
-	count := len(e.leaves)
-	if tasks != nil {
-		count = len(tasks)
-	}
-	var mu sync.Mutex
-	st := sched.Run(count, workers, func(id int, next func() (int, bool)) {
-		sp := parent.ChildWorker("worker", id)
-		w := &batchWorker{worker: e.newWorker(field != nil), smac: smac, active: active}
-		for t, ok := next(); ok; t, ok = next() {
-			li := t
-			if tasks != nil {
-				li = tasks[t]
-			}
-			w.leafPass(li, phi, field)
-		}
-		w.done(stats, &mu)
-		sp.End()
-	})
-	e.Cfg.Obs.AddSteals(st.Steals)
 }
 
 // collect classifies the subtree at root against the target leaf's bounding
@@ -143,7 +72,8 @@ func (e *Evaluator) batched(active []bool, workers int, parent *obs.Span, stats 
 // plans record identical censuses.
 //
 //treecode:hot
-func (w *batchWorker) collect(dst []planEntry, root *tree.Node, c vec.V3, rho float64) []planEntry {
+func (w *worker) collect(dst []planEntry, root *tree.Node, c vec.V3, rho float64) []planEntry {
+	m := w.e.Cfg.MAC
 	w.stack = append(w.stack[:0], planFrame{n: root})
 	for len(w.stack) > 0 {
 		f := w.stack[len(w.stack)-1]
@@ -153,7 +83,7 @@ func (w *batchWorker) collect(dst []planEntry, root *tree.Node, c vec.V3, rho fl
 			continue
 		}
 		n := f.n
-		acc, rej := w.smac.SphereSlacks(c, rho, n)
+		acc, rej := m.SphereSlacks(c, rho, n)
 		switch {
 		case acc >= 0: // == AcceptSphere
 			dst = append(dst, planEntry{node: n, slack: acc, span: 1, kind: planM2P})
@@ -186,7 +116,7 @@ func (w *batchWorker) collect(dst []planEntry, root *tree.Node, c vec.V3, rho fl
 // near-field leaves batch P2P over contiguous tree-order slices.
 //
 //treecode:hot
-func (w *batchWorker) leafPass(li int, phi []float64, field []vec.V3) {
+func (w *worker) leafPass(li int, phi []float64, field []vec.V3) {
 	pl := &w.e.plans[li]
 	leaf := pl.leaf
 	entries := w.acquire(pl)
@@ -229,7 +159,7 @@ func (w *batchWorker) leafPass(li int, phi []float64, field []vec.V3) {
 
 // activeCount returns how many of the leaf's particles the current
 // evaluation targets — the whole leaf outside FieldsFor.
-func (w *batchWorker) activeCount(leaf *tree.Node) int64 {
+func (w *worker) activeCount(leaf *tree.Node) int64 {
 	if w.active == nil {
 		return int64(leaf.Count())
 	}
@@ -249,7 +179,7 @@ func (w *batchWorker) activeCount(leaf *tree.Node) int64 {
 // once per particle there), and the shared-list batch tallies. Recorded
 // per evaluation — not per collect — so a cached plan yields the same
 // census a fresh traversal would.
-func (w *batchWorker) census(entries []planEntry, count int64) {
+func (w *worker) census(entries []planEntry, count int64) {
 	if w.shard == nil {
 		return
 	}
@@ -269,7 +199,7 @@ func (w *batchWorker) census(entries []planEntry, count int64) {
 // cluster — the walk's own accept/reject step, plus the band tallies.
 //
 //treecode:hot
-func (w *batchWorker) refine(n *tree.Node, x vec.V3, self int) (float64, vec.V3) {
+func (w *worker) refine(n *tree.Node, x vec.V3, self int) (float64, vec.V3) {
 	w.refChecks++
 	if w.e.Cfg.MAC.Accept(x, n) {
 		w.refAccepts++
@@ -279,67 +209,4 @@ func (w *batchWorker) refine(n *tree.Node, x vec.V3, self int) (float64, vec.V3)
 		w.shard.Reject(n.Level)
 	}
 	return w.walkBelow(n, x, self)
-}
-
-// VisitBatchedInteractions reports the interaction set the batched
-// traversal produces for every particle of one target leaf: cluster is
-// called with the particle's tree-order index, the accepted node and its
-// evaluation degree; particle with the target and source tree-order
-// indices. The equivalence tests compare this against VisitInteractions
-// per particle, and the plan-parity tests compare it against cached-plan
-// classifications — it deliberately re-traverses recursively with the
-// boolean sphere tests, independent of the plan machinery. Requires a
-// SphereMAC (as Validate enforces for batched runs).
-func (e *Evaluator) VisitBatchedInteractions(leaf *tree.Node,
-	cluster func(i int, n *tree.Node, degree int), particle func(i, j int)) {
-	smac := e.Cfg.MAC.(mac.SphereMAC)
-	var m2p, band, p2p []*tree.Node
-	var collect func(n *tree.Node)
-	collect = func(n *tree.Node) {
-		switch {
-		case smac.AcceptSphere(leaf.Centroid, leaf.BRadius, n):
-			m2p = append(m2p, n)
-		case !smac.RejectSphere(leaf.Centroid, leaf.BRadius, n):
-			band = append(band, n)
-		case n.IsLeaf():
-			p2p = append(p2p, n)
-		default:
-			for _, c := range n.Children {
-				collect(c)
-			}
-		}
-	}
-	collect(e.Tree.Root)
-	for i := leaf.Start; i < leaf.End; i++ {
-		i := i
-		x := e.Tree.Pos[i]
-		for _, n := range m2p {
-			if cluster != nil {
-				cluster(i, n, n.Degree)
-			}
-		}
-		for _, n := range band {
-			e.visitFrom(n, x, i,
-				func(nn *tree.Node, d int) {
-					if cluster != nil {
-						cluster(i, nn, d)
-					}
-				},
-				func(j int) {
-					if particle != nil {
-						particle(i, j)
-					}
-				})
-		}
-		for _, src := range p2p {
-			if particle == nil {
-				continue
-			}
-			for j := src.Start; j < src.End; j++ {
-				if j != i {
-					particle(i, j)
-				}
-			}
-		}
-	}
 }

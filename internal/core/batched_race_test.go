@@ -19,7 +19,7 @@ func TestBatchedRaceWorkerGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := New(set, Config{Method: Adaptive, Degree: 3, Eval: EvalBatched})
+	e, err := New(set, Config{Method: Adaptive, Degree: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,13 +43,13 @@ func TestBatchedRaceSharedCollector(t *testing.T) {
 		t.Fatal(err)
 	}
 	col := obs.New()
-	e, err := New(set, Config{Method: Adaptive, Degree: 3, Eval: EvalBatched, Obs: col, Workers: 4})
+	e, err := New(set, Config{Method: Adaptive, Degree: 3, Obs: col, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The serial warm-up also builds every leaf's interaction plan, so the
-	// concurrent evaluations below stay on the read-only plan hit path —
-	// the contract under which batched evaluations may overlap.
+	// The serial warm-up builds every leaf's interaction plan and gives the
+	// reference result; the concurrent evaluations below serialize on the
+	// evaluator's lock and hit the cached plans.
 	single, _ := e.Potentials()
 	want := col.Metrics()
 
@@ -87,13 +87,12 @@ func TestBatchedRaceFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := New(set, Config{Method: Original, Degree: 3, Eval: EvalBatched, Workers: 3})
+	e, err := New(set, Config{Method: Original, Degree: 3, Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Warm the plan store first: concurrent batched evaluations are only
-	// safe once every leaf's plan is built (plan building mutates the
-	// evaluator; plan hits are read-only).
+	// Warm the plan store first, so the concurrent calls all take the plan
+	// hit path (TestFieldsRace covers concurrent calls on a cold store).
 	e.Fields()
 	var wg sync.WaitGroup
 	wg.Add(3)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sync"
 	"testing"
 
 	"treecode/internal/direct"
@@ -27,6 +28,31 @@ type interaction struct {
 	src    int // tree-order source index for P2P; -1 for M2P
 }
 
+// walkEval is the test oracle of the leaf pass: the per-particle recursive
+// MAC walk from the root for every target, serially on one worker, merging
+// its stats and obs shard like an evaluation does. It returns the
+// potential and, when field is set, E = -grad(phi), in original order.
+func walkEval(e *Evaluator, field bool) ([]float64, []vec.V3, *Stats) {
+	t := e.Tree
+	phi := make([]float64, len(t.Pos))
+	var f []vec.V3
+	if field {
+		f = make([]vec.V3, len(t.Pos))
+	}
+	w := e.newWorker(field)
+	for i := range t.Pos {
+		p, g := w.walk(t.Root, t.Pos[i], i)
+		phi[t.Perm[i]] = p
+		if field {
+			f[t.Perm[i]] = g
+		}
+	}
+	stats := e.newStats()
+	var mu sync.Mutex
+	w.done(stats, &mu)
+	return phi, f, stats
+}
+
 // walkSet collects the per-particle interaction set of the reference walk.
 func walkSet(e *Evaluator, x vec.V3, self int) map[interaction]int {
 	set := map[interaction]int{}
@@ -34,6 +60,49 @@ func walkSet(e *Evaluator, x vec.V3, self int) map[interaction]int {
 		func(n *tree.Node, d int) { set[interaction{n, d, -1}]++ },
 		func(j int) { set[interaction{nil, 0, j}]++ })
 	return set
+}
+
+// visitBatched reports the interaction set the leaf pass produces for
+// every particle of one target leaf: cluster gets the particle's tree-order
+// index, the accepted node and its evaluation degree; particle the target
+// and source tree-order indices. It deliberately re-traverses recursively
+// with the boolean sphere tests, independent of the plan machinery.
+func visitBatched(e *Evaluator, leaf *tree.Node, cluster func(i int, n *tree.Node, degree int), particle func(i, j int)) {
+	m := e.Cfg.MAC
+	var m2p, band, p2p []*tree.Node
+	var collect func(n *tree.Node)
+	collect = func(n *tree.Node) {
+		switch {
+		case m.AcceptSphere(leaf.Centroid, leaf.BRadius, n):
+			m2p = append(m2p, n)
+		case !m.RejectSphere(leaf.Centroid, leaf.BRadius, n):
+			band = append(band, n)
+		case n.IsLeaf():
+			p2p = append(p2p, n)
+		default:
+			for _, c := range n.Children {
+				collect(c)
+			}
+		}
+	}
+	collect(e.Tree.Root)
+	for i := leaf.Start; i < leaf.End; i++ {
+		for _, n := range m2p {
+			cluster(i, n, n.Degree)
+		}
+		for _, n := range band {
+			e.visitFrom(n, e.Tree.Pos[i], i,
+				func(nn *tree.Node, d int) { cluster(i, nn, d) },
+				func(j int) { particle(i, j) })
+		}
+		for _, src := range p2p {
+			for j := src.Start; j < src.End; j++ {
+				if j != i {
+					particle(i, j)
+				}
+			}
+		}
+	}
 }
 
 // TestBatchedInteractionSetMatchesWalk is the MAC-equivalence property
@@ -56,13 +125,13 @@ func TestBatchedInteractionSetMatchesWalk(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				e := mustEval(t, set, Config{Method: Adaptive, Degree: 3, Alpha: 0.5, MAC: m, Eval: EvalBatched})
+				e := mustEval(t, set, Config{Method: Adaptive, Degree: 3, Alpha: 0.5, MAC: m})
 				for _, leaf := range e.Tree.Leaves() {
 					got := map[int]map[interaction]int{}
 					for i := leaf.Start; i < leaf.End; i++ {
 						got[i] = map[interaction]int{}
 					}
-					e.VisitBatchedInteractions(leaf,
+					visitBatched(e, leaf,
 						func(i int, n *tree.Node, d int) { got[i][interaction{n, d, -1}]++ },
 						func(i, j int) { got[i][interaction{nil, 0, j}]++ })
 					for i := leaf.Start; i < leaf.End; i++ {
@@ -85,11 +154,10 @@ func TestBatchedInteractionSetMatchesWalk(t *testing.T) {
 	}
 }
 
-// TestBatchedMatchesWalkAndBound checks, per distribution, that batched
-// potentials agree with the walk's up to summation order and that the
-// batched total error against direct summation stays within the
-// Theorem 2 accumulated bound — the acceptance criterion of the dual-tree
-// mode.
+// TestBatchedMatchesWalkAndBound checks, per distribution, that the leaf
+// pass's potentials agree with the walk oracle's up to summation order,
+// with identical cost counters, and that its total error against direct
+// summation stays within the Theorem 2 accumulated bound.
 func TestBatchedMatchesWalkAndBound(t *testing.T) {
 	for _, dist := range batchedDists {
 		for _, method := range []Method{Original, Adaptive} {
@@ -99,12 +167,9 @@ func TestBatchedMatchesWalkAndBound(t *testing.T) {
 					t.Fatal(err)
 				}
 				want := direct.SelfPotentials(set, 0)
-				cfg := Config{Method: method, Degree: 4, Alpha: 0.5}
-				ew := mustEval(t, set, cfg)
-				pw, sw := ew.Potentials()
-				cfg.Eval = EvalBatched
-				eb := mustEval(t, set, cfg)
-				pb, sb := eb.Potentials()
+				e := mustEval(t, set, Config{Method: method, Degree: 4, Alpha: 0.5})
+				pw, _, sw := walkEval(e, false)
+				pb, sb := e.Potentials()
 
 				// Identical interaction sets: identical integer cost stats.
 				if sb.Terms != sw.Terms || sb.PC != sw.PC || sb.PP != sw.PP || sb.MaxDegree != sw.MaxDegree {
@@ -131,16 +196,19 @@ func TestBatchedMatchesWalkAndBound(t *testing.T) {
 	}
 }
 
-// TestBatchedFieldsMatchWalk checks the potential+field pathway.
+// TestBatchedFieldsMatchWalk checks the potential+field pathway against
+// the walk oracle.
 func TestBatchedFieldsMatchWalk(t *testing.T) {
 	set, err := points.Generate(points.Gaussian, 1500, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Method: Adaptive, Degree: 5, Alpha: 0.5}
-	phiW, fW, _ := mustEval(t, set, cfg).Fields()
-	cfg.Eval = EvalBatched
-	phiB, fB, _ := mustEval(t, set, cfg).Fields()
+	e := mustEval(t, set, Config{Method: Adaptive, Degree: 5, Alpha: 0.5})
+	phiW, fW, sW := walkEval(e, true)
+	phiB, fB, sB := e.Fields()
+	if sB.Terms != sW.Terms || sB.PC != sW.PC || sB.PP != sW.PP || sB.MaxDegree != sW.MaxDegree {
+		t.Fatalf("field stats diverge: batched %+v walk %+v", *sB, *sW)
+	}
 	if re := relErr(phiB, phiW); re > 1e-11 {
 		t.Fatalf("batched field potentials drift from walk: rel err %v", re)
 	}
@@ -160,8 +228,7 @@ func TestBatchedScheduleInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Method: Adaptive, Degree: 4, Eval: EvalBatched}
-	e := mustEval(t, set, cfg)
+	e := mustEval(t, set, Config{Method: Adaptive, Degree: 4})
 	ref, _ := e.PotentialsWithWorkers(1)
 	for _, workers := range []int{2, 3, 2 * runtime.GOMAXPROCS(0)} {
 		got, _ := e.PotentialsWithWorkers(workers)
@@ -173,8 +240,8 @@ func TestBatchedScheduleInvariance(t *testing.T) {
 	}
 }
 
-// TestBatchedCensusParity runs walk and batched with observability enabled
-// and demands the interaction census agree: per-level accepts/rejects,
+// TestBatchedCensusParity runs the walk oracle and the leaf pass with
+// observability enabled and demands the interaction census agree: per-level accepts/rejects,
 // term and pair counts, the degree histogram, and the opening-ratio
 // extremes must be identical (the sets are identical); only float
 // accumulation order may differ.
@@ -183,15 +250,14 @@ func TestBatchedCensusParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	census := func(mode EvalMode) obs.Metrics {
+	census := func(eval func(e *Evaluator)) obs.Metrics {
 		col := obs.New()
-		cfg := Config{Method: Adaptive, Degree: 3, Eval: mode, Obs: col, Workers: 3}
-		e := mustEval(t, set, cfg)
-		e.Potentials()
+		e := mustEval(t, set, Config{Method: Adaptive, Degree: 3, Obs: col, Workers: 3})
+		eval(e)
 		return col.Metrics()
 	}
-	mw := census(EvalWalk)
-	mb := census(EvalBatched)
+	mw := census(func(e *Evaluator) { walkEval(e, false) })
+	mb := census(func(e *Evaluator) { e.Potentials() })
 	if len(mb.Levels) != len(mw.Levels) {
 		t.Fatalf("level count differs: batched %d walk %d", len(mb.Levels), len(mw.Levels))
 	}
@@ -239,48 +305,14 @@ func TestBatchedCensusParity(t *testing.T) {
 	}
 }
 
-// TestBatchedValidation: batched mode must reject MACs without conservative
-// sphere tests, and ParseEvalMode must round-trip the two modes.
-func TestBatchedValidation(t *testing.T) {
-	err := Config{MAC: pointOnlyMAC{}, Eval: EvalBatched}.Validate()
-	if err == nil {
-		t.Fatal("batched config with sphere-less MAC validated")
-	}
-	if err := (Config{MAC: pointOnlyMAC{}}).Validate(); err != nil {
-		t.Fatalf("walk config with sphere-less MAC rejected: %v", err)
-	}
-	for _, s := range []string{"walk", "batched", ""} {
-		if _, err := ParseEvalMode(s); err != nil {
-			t.Fatalf("ParseEvalMode(%q): %v", s, err)
-		}
-	}
-	if m, _ := ParseEvalMode("batched"); m != EvalBatched || m.String() != "batched" {
-		t.Fatalf("ParseEvalMode(batched) = %v", m)
-	}
-	if _, err := ParseEvalMode("nope"); err == nil {
-		t.Fatal("ParseEvalMode accepted garbage")
-	}
-}
-
-// pointOnlyMAC implements mac.MAC but not mac.SphereMAC.
-type pointOnlyMAC struct{}
-
-func (pointOnlyMAC) Accept(x vec.V3, n *tree.Node) bool {
-	r := x.Dist(n.Center)
-	return n.Radius <= 0.5*r && r > 0
-}
-
-func (pointOnlyMAC) String() string { return "point-only" }
-
 // TestBatchedSetCharges checks the iterative-solver pathway (recharge, then
-// re-evaluate) under batched mode.
+// re-evaluate) through the leaf pass.
 func TestBatchedSetCharges(t *testing.T) {
 	set, err := points.Generate(points.Uniform, 800, 21)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Method: Adaptive, Degree: 4, Eval: EvalBatched}
-	e := mustEval(t, set, cfg)
+	e := mustEval(t, set, Config{Method: Adaptive, Degree: 4})
 	q := make([]float64, set.N())
 	for i := range q {
 		q[i] = float64(i%5) - 2.2
@@ -300,7 +332,7 @@ func TestBatchedSetCharges(t *testing.T) {
 }
 
 // TestSoftenedBatchedMatchesWalk: softening changes only the P2P kernel,
-// so the batched traversal still performs exactly the walk's interactions
+// so the leaf pass still performs exactly the walk oracle's interactions
 // (identical Terms/PC/PP) and its softened fields agree with the walk's to
 // roundoff. A coincident pair, which the softened kernel counts and keeps
 // finite, is part of the set.
@@ -310,12 +342,9 @@ func TestSoftenedBatchedMatchesWalk(t *testing.T) {
 		t.Fatal(err)
 	}
 	set.Particles[1].Pos = set.Particles[0].Pos
-	cfg := Config{Method: Adaptive, Degree: 4, Soften: 0.01}
-	walk := mustEval(t, set, cfg)
-	cfg.Eval = EvalBatched
-	batched := mustEval(t, set, cfg)
-	pw, fw, sw := walk.Fields()
-	pb, fb, sb := batched.Fields()
+	e := mustEval(t, set, Config{Method: Adaptive, Degree: 4, Soften: 0.01})
+	pw, fw, sw := walkEval(e, true)
+	pb, fb, sb := e.Fields()
 	if sw.Terms != sb.Terms || sw.PC != sb.PC || sw.PP != sb.PP {
 		t.Fatalf("counters differ: walk %d/%d/%d, batched %d/%d/%d", sw.Terms, sw.PC, sw.PP, sb.Terms, sb.PC, sb.PP)
 	}
@@ -333,7 +362,7 @@ func TestSoftenedBatchedMatchesWalk(t *testing.T) {
 	if r := relErr(pb, pw); r > 1e-12 {
 		t.Fatalf("softened potentials: batched vs walk relative error %g", r)
 	}
-	unsoft := mustEval(t, set, Config{Method: Adaptive, Degree: 4, Eval: EvalBatched})
+	unsoft := mustEval(t, set, Config{Method: Adaptive, Degree: 4})
 	_, _, su := unsoft.Fields()
 	if su.PP >= sb.PP {
 		t.Fatalf("softening should count the coincident pair: PP %d unsoftened, %d softened", su.PP, sb.PP)

@@ -10,18 +10,20 @@
 // no lower than its own), kept alive across timesteps by refit and across
 // solver iterations by recharge.
 //
-// Evaluation walks the tree per target with a multipole acceptance
-// criterion: accepted clusters contribute through M2P, rejected leaves
-// through direct summation. The paper's serial cost metric — the number of
-// multipole terms evaluated, (p+1)^2 per interaction — is tracked in Stats.
+// Every target takes the interaction set of the paper's per-target walk
+// with a multipole acceptance criterion: accepted clusters contribute
+// through M2P, rejected leaves through direct summation. Potentials, Fields
+// and FieldsFor compute that set once per target leaf (batched.go) from
+// interaction plans cached across Update (plan.go), on the work-stealing
+// scheduler; PotentialsAt, whose arbitrary targets have no leaf, walks per
+// target. The paper's serial cost metric — the number of multipole terms
+// evaluated, (p+1)^2 per interaction — is tracked in Stats.
 package core
 
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"treecode/internal/bounds"
@@ -31,6 +33,7 @@ import (
 	"treecode/internal/multipole"
 	"treecode/internal/obs"
 	"treecode/internal/points"
+	"treecode/internal/sched"
 	"treecode/internal/tree"
 	"treecode/internal/vec"
 )
@@ -55,45 +58,18 @@ func (m Method) String() string {
 	return "original"
 }
 
-// EvalMode selects the evaluation traversal strategy.
+// EvalMode is the type of the former traversal selector Config.Eval.
+//
+// Deprecated: the leaf-batched traversal is the only one; Config.Eval is
+// ignored. The type, the field and EvalBatched remain only so that
+// configurations written against the two-mode API (the benchmark's
+// workload definitions among them) keep compiling.
 type EvalMode int
 
-const (
-	// EvalWalk is the reference strategy: one full recursive MAC walk from
-	// the root per target particle.
-	EvalWalk EvalMode = iota
-	// EvalBatched is the leaf-batched dual-tree strategy: the octree is
-	// traversed once per target leaf, testing the MAC conservatively
-	// against the leaf's bounding sphere. Clusters the whole leaf provably
-	// accepts form a shared far-field (M2P) list and leaves the whole leaf
-	// provably rejects form a shared near-field (P2P) list, both consumed
-	// by every particle of the leaf; only the clusters in the refinement
-	// band between the two sphere tests fall back to per-particle MAC
-	// decisions. Leaf tasks are balanced across workers by a work-stealing
-	// scheduler. The interaction set of every particle is identical to
-	// EvalWalk's (the sphere tests are conservative, never accepting what
-	// the per-particle criterion would reject), so both modes satisfy the
-	// same Theorem 2 error budget; only the summation order differs.
-	EvalBatched
-)
-
-func (m EvalMode) String() string {
-	if m == EvalBatched {
-		return "batched"
-	}
-	return "walk"
-}
-
-// ParseEvalMode parses the command-line spelling of an evaluation mode.
-func ParseEvalMode(s string) (EvalMode, error) {
-	switch s {
-	case "", "walk":
-		return EvalWalk, nil
-	case "batched":
-		return EvalBatched, nil
-	}
-	return EvalWalk, fmt.Errorf("core: unknown eval mode %q (want walk or batched)", s)
-}
+// EvalBatched names the leaf-batched traversal, now the only one.
+//
+// Deprecated: ignored, see EvalMode.
+const EvalBatched EvalMode = 1
 
 // Config controls evaluator construction.
 type Config struct {
@@ -116,16 +92,10 @@ type Config struct {
 	LeafCap int
 	// Workers is the number of evaluation goroutines; 0 means GOMAXPROCS.
 	Workers int
-	// ChunkSize is the number of consecutive (tree-ordered, hence
-	// proximity-preserving) targets aggregated per work unit, the paper's
-	// w. Default 64.
-	ChunkSize int
-	// Eval selects the traversal strategy for Potentials and Fields:
-	// EvalWalk (default) runs the per-particle recursive MAC walk,
-	// EvalBatched the leaf-batched dual-tree traversal with work-stealing
-	// scheduling. Batched mode requires the MAC to support conservative
-	// whole-sphere tests (mac.SphereMAC); all built-in criteria do.
-	// PotentialsAt always walks: arbitrary targets carry no leaf grouping.
+	// Eval is ignored.
+	//
+	// Deprecated: Potentials and Fields always run the leaf-batched
+	// traversal; see EvalMode.
 	Eval EvalMode
 	// RefQuantile selects the Theorem 3 reference cluster among the
 	// deepest-level leaves by charge quantile. 0 (default) is the theorem's
@@ -162,9 +132,6 @@ func (c *Config) fill() {
 	if c.LeafCap == 0 {
 		c.LeafCap = 8
 	}
-	if c.ChunkSize == 0 {
-		c.ChunkSize = 64
-	}
 	if c.MAC == nil {
 		c.MAC = mac.Alpha{Alpha: c.Alpha}
 	}
@@ -172,7 +139,7 @@ func (c *Config) fill() {
 
 // Validate checks the configuration after defaults are applied: the
 // alpha-criterion needs 0 < Alpha < 1, degrees must be non-negative with
-// MaxDegree >= Degree, sizes must be positive, Workers non-negative,
+// MaxDegree >= Degree, LeafCap must be positive, Workers non-negative,
 // RefQuantile in [0, 1], and Soften finite and non-negative. New
 // validates automatically; command-line drivers call this early to reject
 // bad flag values before any work is done.
@@ -187,21 +154,12 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: max degree %d below degree %d", c.MaxDegree, c.Degree)
 	case c.LeafCap <= 0:
 		return fmt.Errorf("core: leaf capacity must be positive, got %d", c.LeafCap)
-	case c.ChunkSize <= 0:
-		return fmt.Errorf("core: chunk size must be positive, got %d", c.ChunkSize)
 	case c.Workers < 0:
 		return fmt.Errorf("core: negative worker count %d", c.Workers)
 	case c.RefQuantile < 0 || c.RefQuantile > 1:
 		return fmt.Errorf("core: reference quantile must be in [0,1], got %v", c.RefQuantile)
 	case !(c.Soften >= 0) || math.IsInf(c.Soften, 1):
 		return fmt.Errorf("core: softening length must be finite and non-negative, got %v", c.Soften)
-	case c.Eval != EvalWalk && c.Eval != EvalBatched:
-		return fmt.Errorf("core: unknown eval mode %d", c.Eval)
-	}
-	if c.Eval == EvalBatched {
-		if _, ok := c.MAC.(mac.SphereMAC); !ok {
-			return fmt.Errorf("core: batched evaluation needs a MAC with conservative sphere tests (mac.SphereMAC); %s has none", c.MAC)
-		}
 	}
 	return nil
 }
@@ -245,14 +203,18 @@ const (
 // Evaluator computes potentials/fields for a particle set with a treecode.
 // The embedded engine owns the tree lifecycle — build, degree selection,
 // upward pass, Update/UpdateFor, SetCharges — shared with the FMM; the
-// evaluator keeps the batched traversal's leaf list and plan cache in step
-// with it through two hooks.
+// evaluator keeps the leaf list and the interaction-plan cache in step with
+// it through two hooks.
 type Evaluator struct {
 	*engine.Engine
 	Cfg Config
 
-	leaves []*tree.Node // tree-ordered leaves: batched mode's task list
+	leaves []*tree.Node // tree-ordered leaves: the evaluation's task list
 	plans  []leafPlan   // cached interaction plans, index-aligned with leaves (plan.go)
+	// mu serializes evaluations: the first evaluation after construction or
+	// Update builds or repairs plans, which concurrent calls must not see
+	// half-written.
+	mu sync.Mutex
 }
 
 // New builds the octree, selects per-node degrees, and runs the upward
@@ -308,31 +270,41 @@ func (e *Evaluator) Potentials() ([]float64, *Stats) {
 }
 
 // PotentialsWithWorkers is Potentials with an explicit worker count for
-// this call only (0 means GOMAXPROCS). In walk mode it does not mutate the
-// evaluator, so concurrent calls with different worker counts are safe. In
-// batched mode a call may build or repair the persistent interaction plans,
-// so a call that follows construction or Update must not overlap another
-// evaluation (or Update); once the plan store is warm and intact — at least
-// one evaluation since the last Update — further evaluations only read the
-// plans and may run concurrently. The results are bitwise independent of
-// the worker count either way.
+// this call only (0 means GOMAXPROCS). Evaluations of one evaluator hold
+// its lock for their whole run, because a call may build or repair the
+// persistent interaction plans: concurrent calls are safe and run one after
+// another. Update mutates the tree and must not overlap an evaluation. The
+// results are bitwise independent of the worker count.
 func (e *Evaluator) PotentialsWithWorkers(workers int) ([]float64, *Stats) {
 	phi, _, stats := e.evaluate("core/potentials", nil, workers, false)
 	return phi, stats
 }
 
+// atChunk is the number of consecutive targets in one PotentialsAt work
+// unit, the paper's w: arbitrary targets carry no leaf grouping, so runs of
+// caller-ordered targets take the place of target leaves.
+const atChunk = 64
+
 // PotentialsAt evaluates the potential at arbitrary target points (no
-// self-exclusion). It always walks: arbitrary targets carry no leaf
-// grouping.
+// self-exclusion) by the per-target walk, in atChunk-target tasks on the
+// work-stealing scheduler. It reads only the tree, so concurrent calls are
+// safe and need no lock.
 func (e *Evaluator) PotentialsAt(targets []vec.V3) ([]float64, *Stats) {
 	out := make([]float64, len(targets))
 	stats := e.newStats()
 	sp := e.Cfg.Obs.Start("core/potentials-at")
 	start := time.Now()
-	e.parallelChunks(len(targets), e.Cfg.Workers, false, sp, stats, func(lo, hi int, w *worker) {
-		for i := lo; i < hi; i++ {
-			out[i], _ = w.walk(w.e.Tree.Root, targets[i], -1)
+	var mu sync.Mutex
+	sched.Run((len(targets)+atChunk-1)/atChunk, e.Cfg.Workers, func(id int, next func() (int, bool)) {
+		wsp := sp.ChildWorker("worker", id)
+		w := e.newWorker(false)
+		for c, ok := next(); ok; c, ok = next() {
+			for i := c * atChunk; i < min((c+1)*atChunk, len(targets)); i++ {
+				out[i], _ = w.walk(e.Tree.Root, targets[i], -1)
+			}
 		}
+		w.done(stats, &mu)
+		wsp.End()
 	})
 	stats.EvalTime = time.Since(start)
 	sp.End()
@@ -349,14 +321,13 @@ func (e *Evaluator) Fields() ([]float64, []vec.V3, *Stats) {
 // original particle index, the targets to evaluate; every particle remains
 // a source. The returned slices are full-length, with zero entries left
 // for inactive particles. Active entries are bitwise identical to the
-// corresponding Fields entries at the same positions — the walk path runs
-// the identical per-particle traversal, and the batched path runs the
-// identical kind-filtered passes over each leaf's plan, skipping inactive
-// particles (whose per-particle sums are independent of the active ones).
-// Target leaves without an active particle are not processed at all, so
-// their cached interaction plans are neither built nor repaired: they
-// survive active-only refits untouched for the step that next needs them.
-// A nil mask is Fields.
+// corresponding Fields entries at the same positions: the leaf pass runs
+// the identical kind-filtered passes over each leaf's plan, skipping
+// inactive particles (whose per-particle sums are independent of the
+// active ones). Target leaves without an active particle are not processed
+// at all, so their cached interaction plans are neither built nor
+// repaired: they survive active-only refits untouched for the step that
+// next needs them. A nil mask is Fields.
 func (e *Evaluator) FieldsFor(active []bool) ([]float64, []vec.V3, *Stats) {
 	return e.evaluate("core/fields", active, e.Cfg.Workers, true)
 }
@@ -364,9 +335,15 @@ func (e *Evaluator) FieldsFor(active []bool) ([]float64, []vec.V3, *Stats) {
 // evaluate is the one driver behind Potentials, Fields and FieldsFor: it
 // evaluates the targets the active mask selects (nil means all) under the
 // span name, with the potential only or, when field is set, the potential
-// and E = -grad(phi) (field is nil otherwise). The output kind is fixed on
-// each worker, so the walk and the batched leaf pass share every step.
+// and E = -grad(phi) (field is nil otherwise). Target leaves are the tasks
+// of the work-stealing scheduler, one worker of the fixed output kind per
+// goroutine; per-worker stats and shards merge at the end, and the pool's
+// steal count folds into the batch metrics. With an active mask only leaves
+// holding an active particle become tasks. Each task writes only its own
+// plan slot, so plan builds and repairs race nothing within the call.
 func (e *Evaluator) evaluate(span string, active []bool, workers int, field bool) ([]float64, []vec.V3, *Stats) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	t := e.Tree
 	n := len(t.Pos)
 	phi := make([]float64, n)
@@ -377,23 +354,39 @@ func (e *Evaluator) evaluate(span string, active []bool, workers int, field bool
 	stats := e.newStats()
 	sp := e.Cfg.Obs.Start(span)
 	start := time.Now()
-	if e.Cfg.Eval == EvalBatched {
-		e.batched(active, workers, sp, stats, phi, f)
-	} else {
-		e.parallelChunks(n, workers, field, sp, stats, func(lo, hi int, w *worker) {
-			for i := lo; i < hi; i++ {
-				o := t.Perm[i]
-				if active != nil && !active[o] {
-					continue
-				}
-				p, g := w.walk(t.Root, t.Pos[i], i)
-				phi[o] = p
-				if field {
-					f[o] = g
+	e.ensurePlans()
+	var tasks []int
+	if active != nil {
+		tasks = make([]int, 0, len(e.leaves))
+		for li, leaf := range e.leaves {
+			for i := leaf.Start; i < leaf.End; i++ {
+				if active[t.Perm[i]] {
+					tasks = append(tasks, li)
+					break
 				}
 			}
-		})
+		}
 	}
+	count := len(e.leaves)
+	if tasks != nil {
+		count = len(tasks)
+	}
+	var mu sync.Mutex
+	st := sched.Run(count, workers, func(id int, next func() (int, bool)) {
+		wsp := sp.ChildWorker("worker", id)
+		w := e.newWorker(field)
+		w.active = active
+		for k, ok := next(); ok; k, ok = next() {
+			li := k
+			if tasks != nil {
+				li = tasks[k]
+			}
+			w.leafPass(li, phi, f)
+		}
+		w.done(stats, &mu)
+		wsp.End()
+	})
+	e.Cfg.Obs.AddSteals(st.Steals)
 	stats.EvalTime = time.Since(start)
 	sp.End()
 	return phi, f, stats
@@ -414,17 +407,31 @@ func (e *Evaluator) newStats() *Stats {
 // the potential alone otherwise (the returned field is then zero). shard is
 // the worker's private observability accumulator (nil when obs is
 // disabled); the single `w.shard != nil` branch is the hot path's whole obs
-// cost in that case.
+// cost in that case. The remaining fields serve the leaf pass (batched.go):
+// stack and scratch are reused across leaf tasks (truncated, never
+// reallocated once grown), so steady-state leaf processing performs no
+// allocations.
 type worker struct {
 	e     *Evaluator
 	field bool
 	buf   []complex128
 	stats Stats
 	shard *obs.Shard
+	// active is the per-particle target mask of a FieldsFor evaluation
+	// (original index order); nil means every particle is a target.
+	active []bool
+	// stack backs the explicit-DFS collect; scratch receives repaired
+	// plans (swapped with the plan's old backing array afterwards).
+	stack   []planFrame
+	scratch []planEntry
+	// Refinement-band tallies for the current leaf, flushed to the shard
+	// once per leaf.
+	refChecks  int64
+	refAccepts int64
 }
 
-func (e *Evaluator) newWorker(field bool) worker {
-	return worker{
+func (e *Evaluator) newWorker(field bool) *worker {
+	return &worker{
 		e:     e,
 		field: field,
 		buf:   make([]complex128, harmonics.Len(e.MaxSelectedDegree()+1)),
@@ -432,61 +439,13 @@ func (e *Evaluator) newWorker(field bool) worker {
 	}
 }
 
-// done merges the worker's stats into stats (under mu when several workers
-// share it) and its metric shard into the collector.
+// done merges the worker's stats into stats under mu and its metric shard
+// into the collector.
 func (w *worker) done(stats *Stats, mu *sync.Mutex) {
-	if mu != nil {
-		mu.Lock()
-		defer mu.Unlock()
-	}
+	mu.Lock()
+	defer mu.Unlock()
 	stats.add(&w.stats)
 	w.shard.Merge()
-}
-
-// parallelChunks runs body over [0,n) in ChunkSize blocks on the given
-// number of goroutines, each with a worker of the given output kind, and
-// merges per-worker stats (and, when obs is enabled, per-worker metric
-// shards and spans under parent).
-func (e *Evaluator) parallelChunks(n, workers int, field bool, parent *obs.Span, stats *Stats, body func(lo, hi int, w *worker)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	chunk := e.Cfg.ChunkSize
-	nChunks := (n + chunk - 1) / chunk
-	if workers > nChunks {
-		workers = nChunks
-	}
-	if workers <= 1 {
-		sp := parent.ChildWorker("worker", 0)
-		w := e.newWorker(field)
-		for lo := 0; lo < n; lo += chunk {
-			body(lo, min(lo+chunk, n), &w)
-		}
-		w.done(stats, nil)
-		sp.End()
-		return
-	}
-	var next atomic.Int64
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for g := 0; g < workers; g++ {
-		go func(g int) {
-			defer wg.Done()
-			sp := parent.ChildWorker("worker", g)
-			w := e.newWorker(field)
-			for {
-				lo := int(next.Add(1)-1) * chunk
-				if lo >= n {
-					break
-				}
-				body(lo, min(lo+chunk, n), &w)
-			}
-			w.done(stats, &mu)
-			sp.End()
-		}(g)
-	}
-	wg.Wait()
 }
 
 // walk evaluates the treecode at x over the subtree at n: the potential,
@@ -621,7 +580,8 @@ func (e *Evaluator) VisitInteractions(x vec.V3, self int,
 }
 
 // visitFrom is VisitInteractions rooted at an arbitrary subtree; the
-// batched-traversal visitor reuses it for refinement-band clusters.
+// tests' reference visitor of the leaf pass reuses it for refinement-band
+// clusters.
 func (e *Evaluator) visitFrom(root *tree.Node, x vec.V3, self int,
 	cluster func(n *tree.Node, degree int), particle func(j int)) {
 	var visit func(n *tree.Node)

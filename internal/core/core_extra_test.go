@@ -9,6 +9,7 @@ import (
 	"treecode/internal/points"
 	"treecode/internal/stats"
 	"treecode/internal/tree"
+	"treecode/internal/vec"
 )
 
 func TestMACOverride(t *testing.T) {
@@ -220,15 +221,32 @@ func TestFieldsSelfExclusion(t *testing.T) {
 	}
 }
 
-func TestChunkSizeInvariance(t *testing.T) {
+// TestPotentialsAtWorkerInvariance: PotentialsAt splits its targets into
+// fixed 64-target tasks on the work-stealing scheduler, so every worker
+// count (including more workers than tasks) must give bitwise the serial
+// result, a partial last task included.
+func TestPotentialsAtWorkerInvariance(t *testing.T) {
 	set, _ := points.Generate(points.Uniform, 1000, 28)
-	a, _ := New(set, Config{Degree: 4, ChunkSize: 7})
-	b, _ := New(set, Config{Degree: 4, ChunkSize: 512})
-	pa, _ := a.Potentials()
-	pb, _ := b.Potentials()
-	for i := range pa {
-		if pa[i] != pb[i] {
-			t.Fatal("chunk size changed results")
+	probes, _ := points.Generate(points.Gaussian, 700, 29)
+	targets := make([]vec.V3, probes.N())
+	for i, p := range probes.Particles {
+		targets[i] = p.Pos
+	}
+	var ref []float64
+	for _, w := range []int{1, 3, 16} {
+		e, err := New(set, Config{Degree: 4, Workers: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := e.PotentialsAt(targets)
+		if ref == nil {
+			ref = got
+			continue
+		}
+		for i := range got {
+			if got[i] != ref[i] { //lint:ignore floatcmp bitwise identity across worker counts is the property under test
+				t.Fatalf("workers=%d: phi[%d] = %v differs from serial %v", w, i, got[i], ref[i])
+			}
 		}
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"treecode/internal/harmonics"
-	"treecode/internal/mac"
 	"treecode/internal/points"
 	"treecode/internal/vec"
 )
@@ -160,14 +159,11 @@ func TestBatchedLeafKernelZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := New(set, Config{Method: Adaptive, Degree: 4, Eval: EvalBatched})
+	e, err := New(set, Config{Method: Adaptive, Degree: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := &batchWorker{
-		worker: worker{e: e, buf: make([]complex128, harmonics.Len(e.MaxSelectedDegree()+1))},
-		smac:   e.Cfg.MAC.(mac.SphereMAC),
-	}
+	w := &worker{e: e, buf: make([]complex128, harmonics.Len(e.MaxSelectedDegree()+1))}
 	e.ensurePlans()
 	out := make([]float64, set.N())
 	for li := range e.leaves {

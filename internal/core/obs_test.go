@@ -191,7 +191,7 @@ func TestLifecycleSpanTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	col := obs.New()
-	e, err := New(set, Config{Method: Adaptive, Degree: 3, Eval: EvalBatched, Obs: col})
+	e, err := New(set, Config{Method: Adaptive, Degree: 3, Obs: col})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,25 +10,29 @@ import (
 // TestPotentialsInvariantAcrossBuildWorkers pins the end-to-end determinism
 // claim of the parallel construction pipeline: with the tree build, degree
 // selection, and upward pass all keyed off Config.Workers, the computed
-// potentials must be bitwise identical at every worker count, for both
-// evaluation modes.
+// potentials must be bitwise identical at every worker count, for both the
+// leaf pass and the walk oracle.
 func TestPotentialsInvariantAcrossBuildWorkers(t *testing.T) {
 	set, err := points.GenerateCharged(points.Gaussian, 4000, 13, 4000, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []EvalMode{EvalWalk, EvalBatched} {
+	evals := map[string]func(e *Evaluator) []float64{
+		"batched": func(e *Evaluator) []float64 { phi, _ := e.PotentialsWithWorkers(1); return phi },
+		"walk":    func(e *Evaluator) []float64 { phi, _, _ := walkEval(e, false); return phi },
+	}
+	for mode, eval := range evals {
 		var ref []float64
 		for _, w := range []int{1, 3, 8} {
 			e, err := New(set, Config{
 				Method: Adaptive, Alpha: 0.6, Degree: 3,
-				Workers: w, Eval: mode,
+				Workers: w,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			// Evaluate serially so only the construction varies.
-			phi, _ := e.PotentialsWithWorkers(1)
+			phi := eval(e)
 			if ref == nil {
 				ref = phi
 				continue

@@ -15,7 +15,7 @@ package core
 // flat DFS-ordered list of planEntry records — the traversal's decision at
 // every node it touched, plus the *slack* by which the decision held at
 // build time (the signed margin of the conservative sphere test,
-// mac.SphereMAC.SphereSlacks). Revalidation is then O(1) per entry: a
+// mac.MAC.SphereSlacks). Revalidation is then O(1) per entry: a
 // decision at node n for target leaf l survives a refit as long as
 //
 //	SrcDrift(n) + TgtDrift(l) < slack,
@@ -226,7 +226,7 @@ func (e *Evaluator) revalidatePlans(migrants int) {
 // (valid entries copied, invalid spans re-collected), and an intact plan
 // is served as-is — the steady-state hit path, which touches nothing and
 // allocates nothing. Returns the up-to-date entry list.
-func (w *batchWorker) acquire(pl *leafPlan) []planEntry {
+func (w *worker) acquire(pl *leafPlan) []planEntry {
 	leaf := pl.leaf
 	if len(pl.entries) == 0 {
 		var start time.Time
@@ -273,7 +273,7 @@ func (w *batchWorker) acquire(pl *leafPlan) []planEntry {
 // Shape-stamped invalid and its re-collect covers the detached span before
 // this loop ever reaches it. Returns the grown dst and the reused/rebuilt
 // entry counts.
-func (w *batchWorker) repairSeg(dst, src []planEntry, lo, hi int, c vec.V3, rho float64) ([]planEntry, int64, int64) {
+func (w *worker) repairSeg(dst, src []planEntry, lo, hi int, c vec.V3, rho float64) ([]planEntry, int64, int64) {
 	var reused, rebuilt int64
 	for i := lo; i < hi; {
 		en := src[i]

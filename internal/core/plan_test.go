@@ -75,7 +75,7 @@ func TestPlanCacheMultiStepDriftBitwise(t *testing.T) {
 		t.Fatal(err)
 	}
 	col := obs.New()
-	cfg := Config{Method: Adaptive, Degree: 4, Alpha: 0.5, Eval: EvalBatched, Workers: 2, Obs: col}
+	cfg := Config{Method: Adaptive, Degree: 4, Alpha: 0.5, Workers: 2, Obs: col}
 	e, err := New(set, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +141,7 @@ func TestPlanCacheSetChargesKeepsPlans(t *testing.T) {
 		t.Fatal(err)
 	}
 	col := obs.New()
-	e, err := New(set, Config{Method: Adaptive, Degree: 4, Eval: EvalBatched, Workers: 2, Obs: col})
+	e, err := New(set, Config{Method: Adaptive, Degree: 4, Workers: 2, Obs: col})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,12 +177,12 @@ func TestPlanEntrySetMatchesReferenceTraversal(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e, err := New(set, Config{Method: Adaptive, Degree: 3, Alpha: 0.5, MAC: m, Eval: EvalBatched})
+			e, err := New(set, Config{Method: Adaptive, Degree: 3, Alpha: 0.5, MAC: m})
 			if err != nil {
 				t.Fatal(err)
 			}
 			e.Potentials()
-			smac := e.Cfg.MAC.(mac.SphereMAC)
+			smac := e.Cfg.MAC
 			for li, pl := range e.plans {
 				var want []planEntry
 				var ref func(n *tree.Node)
@@ -231,7 +231,7 @@ func TestPlanCacheRepairRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Method: Adaptive, Degree: 3, Alpha: 0.5, Eval: EvalBatched}
+	cfg := Config{Method: Adaptive, Degree: 3, Alpha: 0.5}
 	e, err := New(set, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -121,7 +121,7 @@ func TestStrings(t *testing.T) {
 // points toward/away from the node).
 func TestSphereTestsConservative(t *testing.T) {
 	tr := buildTree(t)
-	macs := []SphereMAC{Alpha{0.5}, Alpha{0.9}, BoxAlpha{0.6}, MinDist{0.7}}
+	macs := []MAC{Alpha{0.5}, Alpha{0.9}, BoxAlpha{0.6}, MinDist{0.7}}
 	centers := []vec.V3{
 		{X: 0.5, Y: 0.5, Z: 0.5},
 		{X: 1.5, Y: 0.2, Z: 0.9},
@@ -205,7 +205,7 @@ func TestZeroDistanceRejected(t *testing.T) {
 // silently change a cached classification.
 func TestSphereSlackSignsMatchBooleans(t *testing.T) {
 	tr := buildTree(t)
-	macs := []SphereMAC{Alpha{0.5}, Alpha{0.9}, BoxAlpha{0.6}, MinDist{0.7}}
+	macs := []MAC{Alpha{0.5}, Alpha{0.9}, BoxAlpha{0.6}, MinDist{0.7}}
 	centers := []vec.V3{
 		{X: 0.5, Y: 0.5, Z: 0.5},
 		{X: 1.5, Y: 0.2, Z: 0.9},

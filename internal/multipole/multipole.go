@@ -247,8 +247,8 @@ func (e *Expansion) EvaluateFieldBuf(x vec.V3, p int, buf []complex128) (phi flo
 //
 // The recurrences and term pairing are exactly EvaluatePrefix's; only the
 // floating-point association order differs, so results agree to roundoff.
-// This is the batched evaluator's kernel; the per-particle walk keeps the
-// two-pass EvaluatePrefix as the readable reference.
+// It is the potential kernel of every accepted interaction, leaf pass and
+// walk alike; the two-pass EvaluatePrefix stays as the readable reference.
 //
 //treecode:hot
 func (e *Expansion) EvaluateFused(x vec.V3, p int) float64 {

@@ -187,9 +187,9 @@ type Metrics struct {
 	DegreeHist   []int64        // accepted interactions per degree
 	OpenRatio    RatioStats     // a/r over accepted interactions
 	DegreeClamps int64          // degree selections clamped at the stability cap
-	Batch        BatchMetrics   // leaf-batched evaluation counters (zero for walk mode)
+	Batch        BatchMetrics   // leaf-batched evaluation counters (zero for walk-only runs)
 	Refit        RefitMetrics   // persistent-engine maintenance counters
-	Plan         PlanMetrics    // interaction-plan cache counters (zero for walk mode)
+	Plan         PlanMetrics    // interaction-plan cache counters (zero for walk-only runs)
 	Block        BlockMetrics   // block-timestep counters (zero for global dt)
 }
 

@@ -270,8 +270,10 @@ func placeChunks(profiles []chunkProfile, procs int, sched Schedule) []int {
 
 // Measure times the real goroutine evaluation at the given worker count and
 // returns the wall-clock duration of one full potential evaluation. The
-// worker count is passed per-call, so Measure never mutates the evaluator
-// and is safe to run concurrently with other evaluations.
+// worker count is passed per call, so Measure leaves the configuration
+// untouched. It may run concurrently with other evaluations and with
+// Simulate: evaluations of one evaluator serialize on its lock, so a
+// measurement that overlaps another evaluation also times the wait.
 func Measure(e *core.Evaluator, workers int) time.Duration {
 	return MeasureTraced(e, workers, nil)
 }

@@ -33,12 +33,14 @@ const (
 	// RebuildAuto (the default) keeps one persistent evaluator alive for
 	// the simulator's lifetime and moves it with Evaluator.Update each
 	// force evaluation: an in-place refit when per-step drift is small, an
-	// automatic full rebuild when the drift policy demands it. Under
-	// batched evaluation (core.EvalBatched) the persistent evaluator also
-	// carries its interaction-plan cache across steps, so steady-state
-	// force calls skip the dual-tree traversal almost entirely; the
-	// per-step plan reuse shows up in the obs time series (PlanReused,
-	// PlanRebuilt, PlanCollectNS on each StepSample).
+	// automatic full rebuild when the drift policy demands it. The
+	// persistent evaluator also carries its interaction-plan cache across
+	// steps, so steady-state force calls skip the dual-tree traversal
+	// almost entirely; the per-step plan reuse shows up in the obs time
+	// series (PlanReused, PlanRebuilt, PlanCollectNS on each StepSample).
+	// A simulator steps one evaluator at a time: Update and the force
+	// call run in sequence, never concurrently, as the evaluator's
+	// concurrency contract requires.
 	RebuildAuto RebuildPolicy = iota
 	// RebuildEvery constructs a fresh evaluator for every force
 	// evaluation — the historical construct-per-call behavior, reproduced

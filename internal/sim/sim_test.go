@@ -383,7 +383,7 @@ func TestSoftenedStepRecordsFieldsSpan(t *testing.T) {
 	col := obs.New()
 	s, err := New(gaussianState(t, 300), Config{
 		Dt:    1e-3,
-		Force: core.Config{Method: core.Adaptive, Degree: 4, Eval: core.EvalBatched, Soften: 0.05, Obs: col},
+		Force: core.Config{Method: core.Adaptive, Degree: 4, Soften: 0.05, Obs: col},
 	})
 	if err != nil {
 		t.Fatal(err)

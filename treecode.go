@@ -74,17 +74,6 @@ const (
 	Adaptive = core.Adaptive
 )
 
-// EvalMode selects the evaluation strategy: the per-particle tree walk or
-// the leaf-batched dual-tree traversal (identical interaction sets, the
-// batched mode amortizes traversal over each leaf and uses fused kernels).
-type EvalMode = core.EvalMode
-
-// The two evaluation modes.
-const (
-	EvalWalk    = core.EvalWalk
-	EvalBatched = core.EvalBatched
-)
-
 // Config configures a System. See core.Config for field documentation; the
 // important knobs are Method, Degree (fixed degree or adaptive minimum),
 // and Alpha (the acceptance criterion parameter in (0,1)).
