@@ -210,8 +210,9 @@ func (o *Operator) Diagonal() []float64 {
 // mesh vertices are partitioned into spatial clusters of at most blockSize
 // by an octree, and the exact sub-matrix of each cluster is factored. This
 // is the hierarchical near-field preconditioning of the authors' companion
-// work, and it is what makes GMRES(10) converge quickly on the open-sheet
-// (propeller/gripper) first-kind systems.
+// work. It pays on the open-sheet (propeller/gripper) first-kind systems,
+// where it cuts GMRES(10) from about 170 products to about 30; on closed
+// surfaces plain GMRES(10) needs fewer products without it.
 func (o *Operator) BlockPreconditioner(blockSize int) (*precond.BlockJacobi, error) {
 	if blockSize <= 0 {
 		blockSize = 48

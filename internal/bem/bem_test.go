@@ -187,7 +187,8 @@ func TestGMRESWithDenseBEM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	xLU := f.Solve(b)
+	xLU := append([]float64(nil), b...)
+	f.SolveInPlace(xLU)
 	for i := range x {
 		if math.Abs(x[i]-xLU[i]) > 1e-6*(1+math.Abs(xLU[i])) {
 			t.Fatalf("GMRES and LU disagree at %d", i)

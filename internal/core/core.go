@@ -28,7 +28,6 @@ import (
 
 	"treecode/internal/bounds"
 	"treecode/internal/engine"
-	"treecode/internal/harmonics"
 	"treecode/internal/mac"
 	"treecode/internal/multipole"
 	"treecode/internal/obs"
@@ -414,7 +413,6 @@ func (e *Evaluator) newStats() *Stats {
 type worker struct {
 	e     *Evaluator
 	field bool
-	buf   []complex128
 	stats Stats
 	shard *obs.Shard
 	// active is the per-particle target mask of a FieldsFor evaluation
@@ -434,7 +432,6 @@ func (e *Evaluator) newWorker(field bool) *worker {
 	return &worker{
 		e:     e,
 		field: field,
-		buf:   make([]complex128, harmonics.Len(e.MaxSelectedDegree()+1)),
 		shard: e.Cfg.Obs.NewShard(),
 	}
 }
@@ -466,7 +463,7 @@ func (w *worker) walk(n *tree.Node, x vec.V3, self int) (float64, vec.V3) {
 // accept evaluates one accepted cluster interaction (M2P), shared by the
 // walk and the batched traversal: stats, the Theorem 1 truncation bound,
 // the obs record, then the kernel of the worker's output kind — the fused
-// potential kernel, or the potential+gradient kernel.
+// potential kernel or the fused potential+gradient kernel.
 //
 //treecode:hot
 func (w *worker) accept(n *tree.Node, x vec.V3) (float64, vec.V3) {
@@ -483,7 +480,7 @@ func (w *worker) accept(n *tree.Node, x vec.V3) (float64, vec.V3) {
 	if !w.field {
 		return n.Mp.EvaluateFused(x, p), vec.V3{}
 	}
-	phi, grad := n.Mp.EvaluateFieldBuf(x, p, w.buf)
+	phi, grad := n.Mp.EvaluateFieldFused(x, p)
 	return phi, grad.Neg()
 }
 

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"testing"
 
-	"treecode/internal/harmonics"
 	"treecode/internal/points"
 	"treecode/internal/vec"
 )
@@ -163,7 +162,7 @@ func TestBatchedLeafKernelZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := &worker{e: e, buf: make([]complex128, harmonics.Len(e.MaxSelectedDegree()+1))}
+	w := &worker{e: e}
 	e.ensurePlans()
 	out := make([]float64, set.N())
 	for li := range e.leaves {

@@ -245,12 +245,6 @@ func (e *Engine) snapshotSet(pos []vec.V3) *points.Set {
 	return &points.Set{Particles: ps}
 }
 
-// MaxSelectedDegree returns the largest degree selected for any node. It
-// is also the largest stored degree (the upward cost pass never stores an
-// expansion above the largest selection), so callers sizing evaluation
-// scratch read it instead of re-walking the tree.
-func (e *Engine) MaxSelectedDegree() int { return e.maxP }
-
 // UpwardTerms returns the multipole terms one upward pass computes: the
 // stored-degree term count per particle at each P2M-built node and once
 // per M2M-built node. It changes only when degrees are re-selected.

@@ -36,8 +36,8 @@ func checkUpward(t *testing.T, e *Engine, label string) {
 			fail("no expansion")
 			return
 		}
-		if mp.Degree != n.UpDegree || n.UpDegree < n.Degree || n.UpDegree > e.MaxSelectedDegree() {
-			fail("stored degree %d, UpDegree %d, Degree %d, max %d", mp.Degree, n.UpDegree, n.Degree, e.MaxSelectedDegree())
+		if mp.Degree != n.UpDegree || n.UpDegree < n.Degree || n.UpDegree > e.maxP {
+			fail("stored degree %d, UpDegree %d, Degree %d, max %d", mp.Degree, n.UpDegree, n.Degree, e.maxP)
 		}
 		if n.IsLeaf() && !n.UpDirect {
 			fail("leaf built by M2M")
@@ -55,7 +55,10 @@ func checkUpward(t *testing.T, e *Engine, label string) {
 		if mp.Radius > n.Radius {
 			fail("radius %v above the node's %v", mp.Radius, n.Radius)
 		}
-		want := multipole.P2M(tr.Pos[n.Start:n.End], tr.Q[n.Start:n.End], n.Center, n.Degree)
+		want := multipole.NewExpansion(n.Center, n.Degree)
+		for i := n.Start; i < n.End; i++ {
+			want.AddParticleAt(tr.Pos[i], tr.Q[i], nil)
+		}
 		var num, den float64
 		for i, c := range want.Coeff {
 			num += sq(cmplx.Abs(mp.Coeff[i] - c))

@@ -140,9 +140,12 @@ func GMRES(A Operator, b, x []float64, opt Options) (*Result, error) {
 				h[i][j] = linalg.Dot(w, v[i])
 				linalg.Axpy(-h[i][j], v[i], w)
 			}
-			h[j+1][j] = linalg.Norm2(w)
-			if h[j+1][j] > 1e-300 {
-				inv := 1 / h[j+1][j]
+			// The rotation below zeroes h[j+1][j]; keep it for the
+			// breakdown test.
+			sub := linalg.Norm2(w)
+			h[j+1][j] = sub
+			if sub > 1e-300 {
+				inv := 1 / sub
 				for i := range w {
 					v[j+1][i] = w[i] * inv
 				}
@@ -163,7 +166,9 @@ func GMRES(A Operator, b, x []float64, opt Options) (*Result, error) {
 			rel := math.Abs(g[j+1]) / normB
 			res.Residual = rel
 			res.History = append(res.History, rel)
-			if rel <= opt.Tol || h1Breakdown(h, j) {
+			// sub == 0 is a happy breakdown: the Krylov space is
+			// invariant and the cycle's solution is exact.
+			if rel <= opt.Tol || sub <= 1e-300 {
 				j++
 				break
 			}
@@ -190,10 +195,6 @@ func GMRES(A Operator, b, x []float64, opt Options) (*Result, error) {
 	}
 	return res, nil
 }
-
-// h1Breakdown reports a happy breakdown: the subdiagonal vanished, meaning
-// the Krylov space is invariant and the current solve is exact.
-func h1Breakdown(h [][]float64, j int) bool { return h[j+1][j] <= 1e-300 }
 
 // givens returns (c, s) with c*a + s*b = r >= 0 and -s*a + c*b = 0.
 func givens(a, b float64) (c, s float64) {

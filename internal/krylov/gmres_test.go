@@ -55,7 +55,8 @@ func TestGMRESMatchesLU(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	xLU := f.Solve(b)
+	xLU := append([]float64(nil), b...)
+	f.SolveInPlace(xLU)
 	x := make([]float64, 50)
 	if _, err := GMRES(a, b, x, Options{Restart: 20, MaxIters: 1000, Tol: 1e-12}); err != nil {
 		t.Fatal(err)
@@ -166,6 +167,59 @@ func TestResidualHistoryMonotoneWithinCycle(t *testing.T) {
 			t.Fatalf("residual increased within cycle at %d: %v > %v",
 				i, res.History[i], res.History[i-1])
 		}
+	}
+}
+
+// TestGMRESKeepsArnoldiDepth: on a nonsingular system of order n <= m,
+// GMRES(m) is full GMRES, which ends in at most n Arnoldi steps. The matrix
+// is a single Jordan-like block, I + 2 superdiagonal: nonsingular and far
+// from normal, so GMRES(1) stagnates on it. The solve must reach 1e-10
+// within n+1 products (one residual, then Arnoldi steps), in one cycle of
+// several Arnoldi steps. The operator counts the cycles: each starts with a
+// product applied to the iterate x itself.
+func TestGMRESKeepsArnoldiDepth(t *testing.T) {
+	const n = 8
+	a := linalg.NewDense(n)
+	for i := 0; i < n; i++ {
+		a.Set(i, i, 1)
+		if i+1 < n {
+			a.Set(i, i+1, 2)
+		}
+	}
+	b := make([]float64, n)
+	for i := range b {
+		b[i] = float64(i%3) - 0.5
+	}
+	x := make([]float64, n)
+	cycles := 0
+	op := OperatorFunc(func(dst, src []float64) {
+		if &src[0] == &x[0] {
+			cycles++
+		}
+		a.Apply(dst, src)
+	})
+	res, err := GMRES(op, b, x, Options{Restart: 10, MaxIters: n + 1, Tol: 1e-10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Converged || res.Iterations > n+1 {
+		t.Fatalf("converged %v after %d products (cap %d), residual %.3g; history %v",
+			res.Converged, res.Iterations, n+1, res.Residual, res.History)
+	}
+	if len(res.History) != res.Iterations {
+		t.Fatalf("history has %d entries for %d products", len(res.History), res.Iterations)
+	}
+	if steps := res.Iterations - cycles; cycles != 1 || steps < 2 {
+		t.Fatalf("%d cycles with %d Arnoldi steps in all; history %v", cycles, steps, res.History)
+	}
+	// The estimate is the true residual: check it against b - A x.
+	r := make([]float64, n)
+	a.Apply(r, x)
+	for i := range r {
+		r[i] = b[i] - r[i]
+	}
+	if rel := linalg.Norm2(r) / linalg.Norm2(b); rel > 1e-9 {
+		t.Fatalf("true relative residual %.3g", rel)
 	}
 }
 

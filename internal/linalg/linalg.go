@@ -84,18 +84,15 @@ func (d *Dense) Apply(dst, src []float64) { d.MatVec(dst, src) }
 type LU struct {
 	n    int
 	lu   []float64
-	piv  []int
+	swap []int // step k exchanged rows k and swap[k] >= k
 	sign int
 }
 
 // Factor computes the LU factorization of d (d is not modified).
 func (d *Dense) Factor() (*LU, error) {
 	n := d.N
-	f := &LU{n: n, lu: make([]float64, n*n), piv: make([]int, n), sign: 1}
+	f := &LU{n: n, lu: make([]float64, n*n), swap: make([]int, n), sign: 1}
 	copy(f.lu, d.A)
-	for i := range f.piv {
-		f.piv[i] = i
-	}
 	for k := 0; k < n; k++ {
 		// Pivot search.
 		p, maxAbs := k, math.Abs(f.lu[k*n+k])
@@ -107,11 +104,11 @@ func (d *Dense) Factor() (*LU, error) {
 		if maxAbs == 0 {
 			return nil, fmt.Errorf("linalg: singular matrix at column %d", k)
 		}
+		f.swap[k] = p
 		if p != k {
 			for j := 0; j < n; j++ {
 				f.lu[k*n+j], f.lu[p*n+j] = f.lu[p*n+j], f.lu[k*n+j]
 			}
-			f.piv[k], f.piv[p] = f.piv[p], f.piv[k]
 			f.sign = -f.sign
 		}
 		inv := 1 / f.lu[k*n+k]
@@ -126,12 +123,14 @@ func (d *Dense) Factor() (*LU, error) {
 	return f, nil
 }
 
-// Solve solves A x = b, returning a fresh solution vector.
-func (f *LU) Solve(b []float64) []float64 {
+// SolveInPlace solves A x = b in place: x holds b (length n) on entry and
+// the solution on return. It replays the pivot row exchanges on x, so it
+// needs no second vector and allocates nothing.
+func (f *LU) SolveInPlace(x []float64) {
 	n := f.n
-	x := make([]float64, n)
-	for i := 0; i < n; i++ {
-		x[i] = b[f.piv[i]]
+	x = x[:n]
+	for k, p := range f.swap {
+		x[k], x[p] = x[p], x[k]
 	}
 	// Forward substitution (unit lower).
 	for i := 1; i < n; i++ {
@@ -149,7 +148,6 @@ func (f *LU) Solve(b []float64) []float64 {
 		}
 		x[i] = (x[i] - s) / f.lu[i*n+i]
 	}
-	return x
 }
 
 // Det returns the determinant from the factorization.

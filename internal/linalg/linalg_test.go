@@ -59,11 +59,15 @@ func TestLUSolve(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		x := f.Solve(b)
+		x := append([]float64(nil), b...)
+		f.SolveInPlace(x)
 		for i := range x {
 			if math.Abs(x[i]-xTrue[i]) > 1e-9*(1+math.Abs(xTrue[i])) {
 				t.Fatalf("n=%d: x[%d] = %v, want %v", n, i, x[i], xTrue[i])
 			}
+		}
+		if a := testing.AllocsPerRun(10, func() { f.SolveInPlace(x) }); a != 0 {
+			t.Fatalf("n=%d: SolveInPlace allocates %v times", n, a)
 		}
 	}
 }

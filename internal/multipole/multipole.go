@@ -2,12 +2,17 @@
 // the 3-D Laplace kernel Phi(x) = sum_i q_i/|x - x_i|, together with the six
 // classical operators:
 //
-//	P2M  particles            -> multipole expansion
-//	M2M  multipole            -> multipole about a new center (exact)
-//	M2P  multipole            -> potential/field at a point
-//	M2L  multipole            -> local expansion about a distant center
-//	L2L  local                -> local about a new center (exact)
-//	L2P  local                -> potential/field at a point
+//	P2M  particles  -> multipole expansion             AddParticleAt
+//	M2M  multipole  -> multipole about a new center    AccumulateTranslatedBuf (exact)
+//	M2P  multipole  -> potential/field at a point      EvaluateFused, EvaluateFieldFused
+//	M2L  multipole  -> local about a distant center    M2L
+//	L2L  local      -> local about a new center        Local.Translate (exact)
+//	L2P  local      -> potential/field at a point      Local.Evaluate, Local.EvaluateField
+//
+// The M2P and L2P kernels run the solid-harmonic recurrence column by
+// column and consume each term as it is produced, in real arithmetic, with
+// no scratch table and no allocation. Their two-pass table-based
+// counterparts live in the package tests as oracles.
 //
 // Coefficient conventions follow internal/harmonics: with the Hobson
 // normalization the operators are plain convolutions of coefficient arrays
@@ -62,13 +67,8 @@ func (e *Expansion) Clear() {
 	e.Radius = 0
 }
 
-// AddParticle accumulates one charge into the expansion (P2M) and updates
-// the cluster statistics.
-func (e *Expansion) AddParticle(pos vec.V3, q float64) {
-	e.AddParticleAt(pos, q, nil)
-}
-
-// AddParticleAt is AddParticle with a caller-provided scratch buffer of
+// AddParticleAt accumulates one charge into the expansion (P2M) and
+// updates the cluster statistics, using a caller-provided scratch buffer of
 // length >= harmonics.Len(e.Degree) (nil allocates).
 //
 //treecode:hot
@@ -83,16 +83,6 @@ func (e *Expansion) AddParticleAt(pos vec.V3, q float64, buf []complex128) {
 	if rad := d.Norm(); rad > e.Radius {
 		e.Radius = rad
 	}
-}
-
-// P2M builds a degree-p expansion about center from positions and charges.
-func P2M(pos []vec.V3, q []float64, center vec.V3, p int) *Expansion {
-	e := NewExpansion(center, p)
-	buf := make([]complex128, harmonics.Len(p))
-	for i, x := range pos {
-		e.AddParticleAt(x, q[i], buf)
-	}
-	return e
 }
 
 // AccumulateTranslatedBuf adds src, re-centered onto e.Center, into e (the
@@ -126,34 +116,16 @@ func (e *Expansion) AccumulateTranslatedBuf(src *Expansion, buf []complex128) {
 	}
 }
 
-// EvaluatePrefix is Evaluate with a caller-provided scratch buffer of
-// length >= harmonics.Len(p) (nil allocates). Useful in hot loops.
+// EvaluatePrefix computes the potential at x (M2P) using terms up to
+// degree p (p > e.Degree is clamped), with a caller-provided scratch
+// buffer of length >= harmonics.Len(p) (nil allocates): it fills the
+// irregular-harmonic table, then takes the dot product. It is the
+// reference for EvaluateFused and the degree-sweeping evaluator of
+// internal/analyze. x must be outside the cluster radius for the result
+// to be meaningful.
 //
 //treecode:hot
 func (e *Expansion) EvaluatePrefix(x vec.V3, p int, buf []complex128) float64 {
-	return e.evaluateBuf(x, p, buf)
-}
-
-// BoundAt returns the Theorem 1 truncation bound for evaluating this
-// expansion at point x with degree p.
-func (e *Expansion) BoundAt(x vec.V3, p int) float64 {
-	return TruncationBound(e.AbsCharge, e.Radius, x.Dist(e.Center), p)
-}
-
-// Evaluate computes the potential at x from the expansion (M2P), using terms
-// up to degree p (p > e.Degree is clamped). x must be outside the cluster
-// radius for the result to be meaningful.
-func (e *Expansion) Evaluate(x vec.V3, p int) float64 {
-	return e.evaluateBuf(x, p, nil)
-}
-
-// evaluateBuf is the shared M2P core of Evaluate and EvaluatePrefix. The
-// triangular row offset advances incrementally (base of row n+1 = base of
-// row n + n + 1), so the inner loop touches coefficients and harmonics as
-// two linear scans with no index arithmetic beyond an add.
-//
-//treecode:hot
-func (e *Expansion) evaluateBuf(x vec.V3, p int, buf []complex128) float64 {
 	if p > e.Degree {
 		p = e.Degree
 	}
@@ -170,68 +142,10 @@ func (e *Expansion) evaluateBuf(x vec.V3, p int, buf []complex128) float64 {
 	return phi
 }
 
-// EvaluateField computes the potential and its gradient at x (M2P with
-// forces), using terms up to degree p. The gradient uses the exact ladder
-// identities, so it is the true gradient of the truncated series.
-func (e *Expansion) EvaluateField(x vec.V3, p int) (phi float64, grad vec.V3) {
-	return e.EvaluateFieldBuf(x, p, nil)
-}
-
-// EvaluateFieldBuf is EvaluateField with a caller-provided scratch buffer of
-// length >= harmonics.Len(p+1) (nil allocates).
-//
-// The ladder identities
-//
-//	dS/dx = (S_{n+1}^{m+1} - S_{n+1}^{m-1})/2
-//	dS/dy = (S_{n+1}^{m+1} + S_{n+1}^{m-1})/(2i)
-//	dS/dz = -S_{n+1}^m
-//
-// are summed over -n <= m <= n, but the negative-m terms are the complex
-// conjugates of the positive-m terms (T_n^{-m} = (-1)^m conj(T_n^m) for
-// both the coefficients and the harmonics), so each gradient component
-// reduces to m = 0 plus twice the real part of the m >= 1 terms. That lets
-// the loop read the triangular m >= 0 storage directly — no symmetry-
-// resolving table lookups in the inner loop — and accumulate the three
-// components as scalars.
-//
-//treecode:hot
-func (e *Expansion) EvaluateFieldBuf(x vec.V3, p int, buf []complex128) (phi float64, grad vec.V3) {
-	if p > e.Degree {
-		p = e.Degree
-	}
-	// Need S up to degree p+1 for the derivatives.
-	s := harmonics.Irregular(buf, x.Sub(e.Center), p+1)
-	var gx, gy, gz float64
-	base := 0 // harmonics.Idx(n, 0); row n+1 starts at base + n + 1
-	for n := 0; n <= p; n++ {
-		b1 := base + n + 1
-		// m = 0: S_{n+1}^{-1} = -conj(S_{n+1}^{1}) collapses the x/y
-		// ladder to the real and imaginary parts of S_{n+1}^{1}.
-		c := e.Coeff[base]
-		cr, ci := real(c), imag(c)
-		sv := s[base]
-		phi += cr*real(sv) - ci*imag(sv)
-		sp := s[b1+1]
-		gx += cr * real(sp)
-		gy += cr * imag(sp)
-		sm := s[b1]
-		gz -= cr*real(sm) - ci*imag(sm)
-		for m := 1; m <= n; m++ {
-			c := e.Coeff[base+m]
-			cr, ci := real(c), imag(c)
-			sv := s[base+m]
-			phi += 2 * (cr*real(sv) - ci*imag(sv))
-			spp := s[b1+m+1]
-			spm := s[b1+m-1]
-			// m and -m together: 2 Re of each ladder term.
-			gx += cr*(real(spp)-real(spm)) - ci*(imag(spp)-imag(spm))
-			gy += cr*(imag(spp)+imag(spm)) + ci*(real(spp)+real(spm))
-			smid := s[b1+m]
-			gz -= 2 * (cr*real(smid) - ci*imag(smid))
-		}
-		base = b1
-	}
-	return phi, vec.V3{X: gx, Y: gy, Z: gz}
+// BoundAt returns the Theorem 1 truncation bound for evaluating this
+// expansion at point x with degree p.
+func (e *Expansion) BoundAt(x vec.V3, p int) float64 {
+	return TruncationBound(e.AbsCharge, e.Radius, x.Dist(e.Center), p)
 }
 
 // EvaluateFused computes the M2P potential at x using terms up to degree p
@@ -248,7 +162,7 @@ func (e *Expansion) EvaluateFieldBuf(x vec.V3, p int, buf []complex128) (phi flo
 // The recurrences and term pairing are exactly EvaluatePrefix's; only the
 // floating-point association order differs, so results agree to roundoff.
 // It is the potential kernel of every accepted interaction, leaf pass and
-// walk alike; the two-pass EvaluatePrefix stays as the readable reference.
+// walk alike.
 //
 //treecode:hot
 func (e *Expansion) EvaluateFused(x vec.V3, p int) float64 {
@@ -300,6 +214,135 @@ func (e *Expansion) EvaluateFused(x vec.V3, p int) float64 {
 	}
 }
 
+// EvaluateFieldFused computes the M2P potential and its gradient at x using
+// terms up to degree p (clamped to e.Degree): the field kernel of every
+// accepted interaction. The gradient is the exact gradient of the truncated
+// series, from the ladder identities
+//
+//	dS/dx = (S_{n+1}^{m+1} - S_{n+1}^{m-1})/2
+//	dS/dy = (S_{n+1}^{m+1} + S_{n+1}^{m-1})/(2i)
+//	dS/dz = -S_{n+1}^m
+//
+// summed over -n <= m <= n. Conjugate symmetry (T_n^{-m} = (-1)^m
+// conj(T_n^m) for coefficients and harmonics alike) folds each negative-m
+// term onto its positive twin, so every component is a sum over the stored
+// m >= 0 terms.
+//
+// Like EvaluateFused, the kernel runs the irregular recurrence column by
+// column (fixed m, increasing n, here up to degree p+1) and scatters each
+// harmonic S = S_n^m into four scalar accumulators as it is produced:
+//
+//	phi += w Re(C_n^m S)                              (n <= p)
+//	gz  -= w Re(C_{n-1}^m S)
+//	gx  += Re((C_{n-1}^{m-1} - C_{n-1}^{m+1}) S)
+//	gy  += Im((C_{n-1}^{m-1} + C_{n-1}^{m+1}) S)
+//
+// with w = 1 for m = 0 and 2 otherwise, and a coefficient outside
+// 0 <= m' <= n' read as zero. The three gradient coefficients are
+// neighbours in row n-1 of the packed layout, whose phi index the previous
+// row used, so one index advances per term. The rows n = m and m+1 (where
+// some neighbours do not exist) and p+1 (which has no phi term) are peeled,
+// leaving a branch-free inner loop; column 0, whose harmonics are real and
+// which has no m-1 neighbour, has its own real-valued loop. No scratch
+// table is written and the call allocates nothing; the two-pass
+// table-based kernel in the tests is the oracle.
+//
+//treecode:hot
+func (e *Expansion) EvaluateFieldFused(x vec.V3, p int) (phi float64, grad vec.V3) {
+	if p > e.Degree {
+		p = e.Degree
+	}
+	c := e.Coeff[:harmonics.Len(p)]
+	d := x.Sub(e.Center)
+	ux, uy := d.X, d.Y
+	invR2 := 1 / d.Norm2()
+	zr := d.Z * invR2
+	var gx, gy, gz float64 // gz sums +w Re(C_{n-1}^m S); its sign flips on return
+
+	// Column 0: S_0^0 = 1/rho, S_1^0 = z S_0^0 / rho^2, all real.
+	smr, smi := math.Sqrt(invR2), 0.0 // S_m^m
+	q, s := smr, zr*smr
+	phi = real(c[0]) * q
+	gz = real(c[0]) * s
+	if p >= 1 {
+		phi += real(c[1]) * s
+		j := 1             // Idx(n-1, 0)
+		f1, k2 := 3.0, 1.0 // 2n-1 and (n-1)^2 at n = 2
+		for n := 2; n <= p; n++ {
+			q, s = s, f1*zr*s-k2*invR2*q
+			phi += real(c[j+n]) * s
+			gz += real(c[j]) * s
+			gx -= real(c[j+1]) * s
+			gy += imag(c[j+1]) * s
+			j += n
+			k2 += f1
+			f1 += 2
+		}
+		s = f1*zr*s - k2*invR2*q // S_{p+1}^0
+		gz += real(c[j]) * s
+		gx -= real(c[j+1]) * s
+		gy += imag(c[j+1]) * s
+	}
+
+	im := 0 // Idx(m-1, m-1)
+	for m := 1; ; m++ {
+		// S_m^m = -(2m-1) (x+iy) S_{m-1}^{m-1} / rho^2; its only term is
+		// the C_{m-1}^{m-1} ladder.
+		f := float64(2*m-1) * invR2
+		ar, ai := -f*ux, -f*uy
+		smr, smi = ar*smr-ai*smi, ar*smi+ai*smr
+		a := c[im]
+		gx += real(a)*smr - imag(a)*smi
+		gy += real(a)*smi + imag(a)*smr
+		if m > p {
+			break
+		}
+		im += m + 1 // Idx(m, m)
+		b := c[im]
+		cphi := real(b)*smr - imag(b)*smi
+		// S_{m+1}^m = (2m+1) z S_m^m / rho^2: the C_m^m phi-row neighbour
+		// below, C_m^{m-1} to its left, nothing to its right.
+		f = float64(2*m+1) * zr
+		sr, si := f*smr, f*smi
+		cgz := real(b)*sr - imag(b)*si
+		a = c[im-1]
+		gx += real(a)*sr - imag(a)*si
+		gy += real(a)*si + imag(a)*sr
+		if m < p {
+			j := im + m + 1 // Idx(m+1, m)
+			b = c[j]
+			cphi += real(b)*sr - imag(b)*si
+			qr, qi := smr, smi
+			f1, k2 := float64(2*m+3), float64(2*m+1) // 2n-1, (n+m-1)(n-m-1) at n = m+2
+			for n := m + 2; n <= p; n++ {
+				c1, c2 := f1*zr, k2*invR2
+				qr, sr = sr, c1*sr-c2*qr
+				qi, si = si, c1*si-c2*qi
+				b = c[j+n]
+				cphi += real(b)*sr - imag(b)*si
+				lo, mid, hi := c[j-1], c[j], c[j+1]
+				cgz += real(mid)*sr - imag(mid)*si
+				dr, di := real(lo)-real(hi), imag(lo)-imag(hi)
+				sumr, sumi := real(lo)+real(hi), imag(lo)+imag(hi)
+				gx += dr*sr - di*si
+				gy += sumr*si + sumi*sr
+				j += n
+				k2 += f1
+				f1 += 2
+			}
+			c1, c2 := f1*zr, k2*invR2 // S_{p+1}^m: gradient only
+			sr, si = c1*sr-c2*qr, c1*si-c2*qi
+			lo, mid, hi := c[j-1], c[j], c[j+1]
+			cgz += real(mid)*sr - imag(mid)*si
+			gx += (real(lo)-real(hi))*sr - (imag(lo)-imag(hi))*si
+			gy += (real(lo)+real(hi))*si + (imag(lo)+imag(hi))*sr
+		}
+		phi += 2 * cphi
+		gz += 2 * cgz
+	}
+	return phi, vec.V3{X: gx, Y: gy, Z: -gz}
+}
+
 // TruncationBound returns the Greengard-Rokhlin bound on the absolute error
 // of evaluating a degree-p expansion of a cluster with absolute charge a
 // total A and radius a, at distance r > a from the center (Theorem 1).
@@ -334,11 +377,6 @@ func powInt(x float64, n int) float64 {
 		x *= x
 	}
 	return y
-}
-
-// Bound returns TruncationBound for this expansion at distance r.
-func (e *Expansion) Bound(r float64) float64 {
-	return TruncationBound(e.AbsCharge, e.Radius, r, e.Degree)
 }
 
 // Local is a truncated local (Taylor-like) expansion about Center: the
@@ -392,19 +430,6 @@ func (e *Expansion) M2L(center vec.V3, pIn, pOut int) *Local {
 	return l
 }
 
-// AddP2L accumulates the local expansion of a single distant charge (P2L),
-// used by adaptive FMM variants for small far clusters.
-func (l *Local) AddP2L(pos vec.V3, q float64) {
-	// Phi(x) = q/|x - pos| = q/|u - s| with u = pos - center, s = x - center,
-	// |s| < |u|: = q sum conj(R(s)) S(u)  => L_j^k += q S_j^k(u).
-	u := pos.Sub(l.Center)
-	s := harmonics.Irregular(nil, u, l.Degree)
-	qc := complex(q, 0)
-	for i, c := range s {
-		l.Coeff[i] += qc * c
-	}
-}
-
 // Translate shifts the local expansion to a new center inside its domain of
 // validity (L2L). Exact for pOut <= l.Degree in the sense that the result
 // equals the truncation of the original series re-expanded.
@@ -442,47 +467,131 @@ func (l *Local) Add(src *Local) {
 	}
 }
 
-// Evaluate computes the potential at x from the local expansion (L2P).
+// Evaluate computes the potential at x from the local expansion (L2P):
+//
+//	Phi(x) = sum_n [ Re(L_n^0 conj R_n^0) + 2 sum_{m>=1} Re(L_n^m conj R_n^m) ]
+//
+// with R = R(x - Center). Like the M2P kernels it runs the regular
+// recurrence column by column and consumes each harmonic as it is
+// produced, in real arithmetic, with no table and no allocation. Seeding
+// R_{m-1}^m = 0 lets the three-term recurrence produce R_{m+1}^m = z R_m^m
+// too, so each column is one loop.
+//
+//treecode:hot
 func (l *Local) Evaluate(x vec.V3) float64 {
-	r := harmonics.Regular(nil, x.Sub(l.Center), l.Degree)
+	p := l.Degree
+	c := l.Coeff[:harmonics.Len(p)]
+	d := x.Sub(l.Center)
+	ux, uy, z := d.X, d.Y, d.Z
+	rho2 := d.Norm2()
+
+	rmr, rmi := 1.0, 0.0 // R_m^m, seeded with R_0^0 = 1
 	var phi float64
-	for n := 0; n <= l.Degree; n++ {
-		base := harmonics.Idx(n, 0)
-		phi += real(l.Coeff[base] * cmplx.Conj(r[base]))
-		for m := 1; m <= n; m++ {
-			phi += 2 * real(l.Coeff[base+m]*cmplx.Conj(r[base+m]))
+	w := 1.0 // column weight: 1 for m = 0, 2 for m >= 1
+	im := 0  // Idx(m, m)
+	for m := 0; ; m++ {
+		rr, ri := rmr, rmi
+		var qr, qi, cs float64
+		i := im
+		for n := m; n < p; n++ {
+			b := c[i]
+			cs += real(b)*rr + imag(b)*ri // Re(L conj R)
+			// R_{n+1}^m = ((2n+1) z R_n^m - rho^2 R_{n-1}^m) / ((n+1-m)(n+1+m))
+			inv := 1 / float64((n+1-m)*(n+1+m))
+			c1, c2 := float64(2*n+1)*z*inv, rho2*inv
+			qr, rr = rr, c1*rr-c2*qr
+			qi, ri = ri, c1*ri-c2*qi
+			i += n + 1 // Idx(n+1, m)
 		}
+		b := c[i]
+		cs += real(b)*rr + imag(b)*ri
+		phi += w * cs
+		if m == p {
+			return phi
+		}
+		// R_{m+1}^{m+1} = -(x+iy) R_m^m / (2(m+1))
+		f := 1 / float64(2*m+2)
+		ar, ai := -f*ux, -f*uy
+		rmr, rmi = ar*rmr-ai*rmi, ar*rmi+ai*rmr
+		im += m + 2 // Idx(m+1, m+1)
+		w = 2
 	}
-	return phi
 }
 
-// EvaluateField computes the potential and gradient at x (L2P with forces).
+// EvaluateField computes the potential and its gradient at x (L2P with
+// forces). With the ladder identities
+//
+//	dR/dx = (R_{n-1}^{m+1} - R_{n-1}^{m-1})/2
+//	dR/dy = (R_{n-1}^{m+1} + R_{n-1}^{m-1})/(2i)
+//	dR/dz = R_{n-1}^m
+//
+// and conjugate symmetry folding each negative-m term onto its positive
+// twin, every harmonic R = R_n^m (n <= Degree) is scattered into four
+// scalar accumulators as the regular recurrence produces it:
+//
+//	phi += w Re(L_n^m conj R)
+//	gz  += w Re(L_{n+1}^m conj R)                          (n < Degree)
+//	gx  += Re((L_{n+1}^{m-1} - L_{n+1}^{m+1}) conj R)      (n < Degree)
+//	gy  -= Im((L_{n+1}^{m-1} + L_{n+1}^{m+1}) conj R)      (n < Degree)
+//
+// with w = 1 for m = 0 and 2 otherwise. The three gradient coefficients
+// are neighbours in row n+1, whose phi index the next step uses. The top
+// row, which has no gradient terms, is peeled; column 0, whose harmonics
+// are real and which has no m-1 neighbour, is its own loop. No table is
+// written and the call allocates nothing.
+//
+//treecode:hot
 func (l *Local) EvaluateField(x vec.V3) (phi float64, grad vec.V3) {
 	p := l.Degree
-	r := harmonics.Regular(nil, x.Sub(l.Center), p)
-	var gx, gy, gz complex128
-	for n := 0; n <= p; n++ {
-		for m := -n; m <= n; m++ {
-			c := harmonics.Get(l.Coeff, p, n, m)
-			if m >= 0 {
-				if m == 0 {
-					phi += real(c * cmplx.Conj(r[harmonics.Idx(n, 0)]))
-				} else {
-					phi += 2 * real(c*cmplx.Conj(r[harmonics.Idx(n, m)]))
-				}
-			}
-			// d(conj R)/d* = conj(dR/d*):
-			// dR/dx = (R_{n-1}^{m+1} - R_{n-1}^{m-1})/2
-			// dR/dy = (R_{n-1}^{m+1} + R_{n-1}^{m-1})/(2i)
-			// dR/dz = R_{n-1}^m
-			rp := harmonics.Get(r, p, n-1, m+1)
-			rm := harmonics.Get(r, p, n-1, m-1)
-			gx += c * cmplx.Conj((rp-rm)/2)
-			gy += c * cmplx.Conj((rp+rm)/complex(0, 2))
-			gz += c * cmplx.Conj(harmonics.Get(r, p, n-1, m))
-		}
+	c := l.Coeff[:harmonics.Len(p)]
+	d := x.Sub(l.Center)
+	ux, uy, z := d.X, d.Y, d.Z
+	rho2 := d.Norm2()
+	var gx, gy, gz float64
+
+	// Column 0: R_0^0 = 1, R_1^0 = z, ..., all real.
+	q, r := 0.0, 1.0
+	i := 0 // Idx(n, 0)
+	for n := 0; n < p; n++ {
+		phi += real(c[i]) * r
+		i += n + 1 // Idx(n+1, 0)
+		gz += real(c[i]) * r
+		gx -= real(c[i+1]) * r
+		gy -= imag(c[i+1]) * r
+		q, r = r, (float64(2*n+1)*z*r-rho2*q)/float64((n+1)*(n+1))
 	}
-	return phi, vec.V3{X: real(gx), Y: real(gy), Z: real(gz)}
+	phi += real(c[i]) * r
+
+	rmr, rmi := 1.0, 0.0 // R_m^m
+	im := 0              // Idx(m, m)
+	for m := 1; m <= p; m++ {
+		// R_m^m = -(x+iy) R_{m-1}^{m-1} / (2m)
+		f := 1 / float64(2*m)
+		ar, ai := -f*ux, -f*uy
+		rmr, rmi = ar*rmr-ai*rmi, ar*rmi+ai*rmr
+		im += m + 1
+		rr, ri := rmr, rmi
+		var qr, qi, cphi, cgz float64
+		i := im // Idx(n, m)
+		for n := m; n < p; n++ {
+			b := c[i]
+			cphi += real(b)*rr + imag(b)*ri
+			i += n + 1 // Idx(n+1, m)
+			lo, mid, hi := c[i-1], c[i], c[i+1]
+			cgz += real(mid)*rr + imag(mid)*ri
+			gx += (real(lo)-real(hi))*rr + (imag(lo)-imag(hi))*ri
+			gy += (real(lo)+real(hi))*ri - (imag(lo)+imag(hi))*rr
+			inv := 1 / float64((n+1-m)*(n+1+m))
+			c1, c2 := float64(2*n+1)*z*inv, rho2*inv
+			qr, rr = rr, c1*rr-c2*qr
+			qi, ri = ri, c1*ri-c2*qi
+		}
+		b := c[i]
+		cphi += real(b)*rr + imag(b)*ri
+		phi += 2 * cphi
+		gz += 2 * cgz
+	}
+	return phi, vec.V3{X: gx, Y: gy, Z: gz}
 }
 
 // Terms returns the number of series terms in a degree-p expansion, the

@@ -265,6 +265,14 @@ func TestM2PFieldAgainstDirect(t *testing.T) {
 		if math.Abs(phi-e.Evaluate(x, e.Degree)) > 1e-12*(1+math.Abs(phi)) {
 			t.Fatal("EvaluateField and Evaluate disagree")
 		}
+		// The fused production kernel meets the same accuracy.
+		fphi, fgrad := e.EvaluateFieldFused(x, e.Degree)
+		if math.Abs(fphi-wantPhi) > 1e-8*(1+math.Abs(wantPhi)) {
+			t.Fatalf("fused field potential: %v vs %v", fphi, wantPhi)
+		}
+		if fgrad.Sub(wantGrad).Norm() > 1e-7*(1+wantGrad.Norm()) {
+			t.Fatalf("fused M2P gradient: %v vs %v", fgrad, wantGrad)
+		}
 	}
 }
 

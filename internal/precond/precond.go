@@ -3,8 +3,12 @@
 // vertex clusters. First-kind single-layer systems on open sheets (the
 // propeller blades) are ill-conditioned; near-field block preconditioning
 // — the approach of the authors' companion work on hierarchical solvers
-// for boundary element methods — restores the fast GMRES(10) convergence
-// the paper reports.
+// for boundary element methods — cuts GMRES(10) on them from about 170
+// products to about 30. On a closed surface such as the sphere, plain
+// GMRES(10) already converges in under ten products and the block
+// preconditioner costs more than it saves. GMRES applies it on the left,
+// so its tolerance is then measured in the preconditioned norm
+// ||M^{-1}(b - Ax)|| / ||M^{-1}b||.
 package precond
 
 import (
@@ -42,6 +46,7 @@ type BlockJacobi struct {
 	blocks  [][]int
 	factors []*linalg.LU
 	n       int
+	scratch []float64 // one block's right-hand side, sized to the largest block
 }
 
 // NewBlockJacobi factors the given dense blocks. blocks[k] lists the global
@@ -71,6 +76,9 @@ func NewBlockJacobi(n int, blocks [][]int, mats []*linalg.Dense) (*BlockJacobi, 
 			return nil, fmt.Errorf("precond: block %d singular: %w", k, err)
 		}
 		b.factors = append(b.factors, f)
+		if len(idx) > len(b.scratch) {
+			b.scratch = make([]float64, len(idx))
+		}
 	}
 	for i, c := range covered {
 		if !c {
@@ -80,16 +88,19 @@ func NewBlockJacobi(n int, blocks [][]int, mats []*linalg.Dense) (*BlockJacobi, 
 	return b, nil
 }
 
-// Apply implements the krylov.Operator contract (z = M^{-1} r).
+// Apply implements the krylov.Operator contract (z = M^{-1} r). Each block
+// is gathered into one shared scratch vector and solved in place, so Apply
+// allocates nothing; a BlockJacobi must therefore not be applied from two
+// goroutines at once.
 func (b *BlockJacobi) Apply(dst, src []float64) {
 	for k, idx := range b.blocks {
-		local := make([]float64, len(idx))
+		local := b.scratch[:len(idx)]
 		for j, i := range idx {
 			local[j] = src[i]
 		}
-		sol := b.factors[k].Solve(local)
+		b.factors[k].SolveInPlace(local)
 		for j, i := range idx {
-			dst[i] = sol[j]
+			dst[i] = local[j]
 		}
 	}
 }

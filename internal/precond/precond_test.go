@@ -66,6 +66,53 @@ func TestBlockJacobiIsExactForBlockDiagonal(t *testing.T) {
 	}
 }
 
+// TestBlockJacobiApplyAllocs: Apply over interleaved blocks of different
+// sizes matches a per-block LU solve exactly and allocates nothing.
+func TestBlockJacobiApplyAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	n := 12
+	blocks := [][]int{{11, 0, 5}, {1, 7, 3, 9, 2}, {4}, {10, 6, 8}}
+	var mats []*linalg.Dense
+	for _, idx := range blocks {
+		m := linalg.NewDense(len(idx))
+		for i := range idx {
+			for j := range idx {
+				m.Set(i, j, rng.NormFloat64())
+			}
+		}
+		mats = append(mats, m)
+	}
+	bj, err := NewBlockJacobi(n, blocks, mats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := make([]float64, n)
+	for i := range src {
+		src[i] = rng.NormFloat64()
+	}
+	dst := make([]float64, n)
+	bj.Apply(dst, src)
+	for k, idx := range blocks {
+		f, err := mats[k].Factor()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rhs := make([]float64, len(idx))
+		for j, i := range idx {
+			rhs[j] = src[i]
+		}
+		f.SolveInPlace(rhs)
+		for j, v := range rhs {
+			if dst[idx[j]] != v {
+				t.Fatalf("block %d entry %d: Apply %v, LU solve %v", k, idx[j], dst[idx[j]], v)
+			}
+		}
+	}
+	if a := testing.AllocsPerRun(20, func() { bj.Apply(dst, src) }); a != 0 {
+		t.Fatalf("BlockJacobi.Apply allocates %v times per call", a)
+	}
+}
+
 func TestBlockJacobiValidation(t *testing.T) {
 	m := linalg.NewDense(2)
 	m.Set(0, 0, 1)
